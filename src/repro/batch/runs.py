@@ -5,9 +5,9 @@ process executes) with a parent-side merge.  Workers trace with online
 collapse on, so what crosses the process boundary is a coverage-sized
 collapsed graph in the ``flowgraph-v1`` text format plus plain-data
 summaries — never VM state or label objects.  The parent re-combines
-worker graphs with :func:`~repro.graph.collapse.collapse_graphs`, which
-keeps the combined bound Kraft-sound across the whole batch exactly as
-the serial Section 3.2 pipeline does.
+worker graphs through :func:`_combine`, the one Section 3.2 multi-run
+combine every entry point shares, which keeps the combined bound
+Kraft-sound across the whole batch exactly as the serial pipeline does.
 
 ``jobs=1`` runs the very same job functions in-process (including the
 dump/load round trip), so the parallel and serial paths cannot drift
@@ -28,7 +28,9 @@ for a complete bound.
 from __future__ import annotations
 
 import io
+import tempfile
 import time
+from contextlib import ExitStack
 
 from .. import obs
 from ..core.combine import (IncrementalKraft, StreamingCombiner,
@@ -37,7 +39,7 @@ from ..core.measure import measure_graph, measure_runs
 from ..core.multisecret import CategoryBounds, _restricted_copy
 from ..core.tracker import CollapsingTraceBuilder
 from ..errors import BatchError, GraphError, StoreError
-from ..graph.collapse import CollapseStats, collapse_graphs
+from ..graph.collapse import collapse_graphs
 from ..graph.maxflow import dinic_max_flow
 from ..graph.mincut import MinCut
 from ..graph.serialize import dump_graph, load_graph
@@ -220,10 +222,9 @@ def measure_program_runs(source, secret_inputs, public_input=b"",
     The batch analogue of :func:`repro.lang.runner.measure_many`: each
     secret is traced (online-collapsed) in a worker, and the workers'
     serialized graphs are re-combined for the Section 3.2 Kraft-sound
-    bound — streamed through a warm-started
-    :class:`~repro.core.combine.StreamingCombiner` by default, or by
-    the tree-reduction merge across the pool when a shard ``store`` is
-    given.  ``max_steps``/``deadline_seconds`` bound each
+    bound by the one multi-run combine — a root-only fold in the parent
+    by default, or the tree-reduction merge across the pool when a
+    shard ``store`` is given.  ``max_steps``/``deadline_seconds`` bound each
     run inside its worker (a run past its deadline raises ``VMTimeout``
     — a non-transient job failure); ``timeout``/``retries``/``on_error``
     configure the engine's :class:`~repro.batch.engine.FaultPolicy`.
@@ -235,9 +236,9 @@ def measure_program_runs(source, secret_inputs, public_input=b"",
     :class:`~repro.core.combine.StreamingCombiner`, re-solving each
     intermediate combined graph from the previous residual — the
     ``maxflow.warm_start.*`` counters report the reuse.  The final
-    bound and combined graph are identical to the one-shot combination
-    (``warm_start=False``, the ``repro batch --no-warm-start`` path);
-    only the tie-broken placement of the minimum cut may differ.
+    bound, combined graph, and minimum cut are identical to the
+    one-shot combination (``warm_start=False``, the ``repro batch
+    --no-warm-start`` path).
 
     ``store`` (a :class:`~repro.store.ShardStore` or a directory path,
     created if missing) switches the merge to the corpus pipeline: each
@@ -265,10 +266,7 @@ def measure_program_runs(source, secret_inputs, public_input=b"",
     outcomes = engine.map(_trace_run_job, payloads)
     metrics = obs.get_metrics()
     t0 = time.perf_counter()
-    shard_store = None
-    if store is not None:
-        shard_store = store if isinstance(store, ShardStore) \
-            else ShardStore(store)
+    shard_store = None if store is None else _open_store(store)
     graphs = []
     stats_list = []
     warnings = []
@@ -302,186 +300,48 @@ def measure_program_runs(source, secret_inputs, public_input=b"",
             raise BatchError(
                 "all %d runs failed; no combined bound exists (first "
                 "failure: %s)" % (len(outcomes), failures[0]))
+        # The combine times itself into batch.merge_seconds; the
+        # parent's own share is the loop above (and the cold oracle).
+        own_seconds = time.perf_counter() - t0
+        context_sensitive = collapse == "context"
         if shard_store is not None:
-            result = combine_store_jobs(
-                shard_store, context_sensitive=(collapse == "context"),
+            report = combine_store_jobs(
+                shard_store, context_sensitive=context_sensitive,
                 jobs=jobs, faults=engine.faults, warm_start=warm_start,
-                stats_list=stats_list, warnings=warnings)
-            report = result.report
+                stats_list=stats_list, warnings=warnings).report
         elif warm_start:
-            combiner = StreamingCombiner(
-                context_sensitive=(collapse == "context"))
+            # A root-only fold in the parent: no second pool, no disk.
             span = obs.get_tracer().span("measure.runs", runs=len(graphs),
                                          collapse=collapse, jobs=1)
             with span, metrics.phase("measure"):
-                for graph in graphs:
-                    combiner.add(graph)
-                span.set(bits=combiner.bits)
-                report = combiner.report(stats_list=stats_list,
-                                         warnings=warnings)
+                report = _combine([(graph, 1) for graph in graphs], None,
+                                  context_sensitive, 1, engine.faults,
+                                  stats_list=stats_list,
+                                  warnings=warnings).report
+                span.set(bits=report.bits)
         else:
+            t1 = time.perf_counter()
             report = measure_runs(graphs, collapse=collapse,
                                   stats_list=stats_list, warnings=warnings)
+            own_seconds += time.perf_counter() - t1
         if failures:
             _mark_partial(report, len(failures), len(outcomes))
     if metrics.enabled:
         metrics.incr("batch.graphs_bytes", shipped_bytes)
-        metrics.add_seconds("batch.merge_seconds",
-                            time.perf_counter() - t0)
+        metrics.add_seconds("batch.merge_seconds", own_seconds)
     return BatchResult(report, bits, engine.jobs, failures)
 
 
 # ----------------------------------------------------------------------
-# Tree-reduced multi-run combination (parallel collapse_graphs)
-
-
-def _default_fanin(count, jobs):
-    """Default reduction fan-in: one worker-sized chunk per level.
-
-    Chosen so the first level matches the old one-level split into
-    ``jobs`` contiguous chunks; further levels keep reducing until one
-    chunk remains for the parent-side root fold.
-    """
-    return max(2, -(-count // max(jobs, 1)))
-
-
-def _tree_parts(count, jobs, fanin):
-    """Chunk count for one reduction level (1 means: root fold next)."""
-    if count <= fanin:
-        return 1
-    return min(jobs, -(-count // fanin))
-
-
-def _combine_chunk_job(payload):
-    """Combine one contiguous chunk of serialized shards in a worker.
-
-    Each item is ``(text, original_nodes, original_edges)``; the
-    returned original counts are the *carried* sums, so multi-level
-    reduction keeps counting the true corpus size rather than the
-    intermediate graphs'.
-    """
-    items, context_sensitive = payload
-    chunk = [_load_text(text) for text, _, _ in items]
-    combined, _ = collapse_graphs(chunk,
-                                  context_sensitive=context_sensitive)
-    return {
-        "graph": _dump_text(combined),
-        "original_nodes": sum(nodes for _, nodes, _ in items),
-        "original_edges": sum(edges for _, _, edges in items),
-    }
-
-
-def combine_graphs_jobs(graphs, context_sensitive=True, jobs=1,
-                        timeout=None, retries=0, on_error="raise",
-                        faults=None, fanin=None):
-    """Tree-reduced parallel :func:`~repro.graph.collapse.collapse_graphs`.
-
-    The graph list is split into contiguous chunks and combined as a
-    reduction *tree*: every level sends chunks of at most ``fanin``
-    intermediate graphs to the worker pool, until one chunk remains,
-    which the parent folds as the root.  No process — parent included —
-    ever materializes more than one chunk of coverage-sized graphs at a
-    time, which is what lets corpus-scale combines run in O(coverage)
-    memory per process.  The union-find construction is associative
-    over ordered contiguous chunks, so the result is identical (same
-    node numbering, edge order, capacities, and labels-as-serialized)
-    to combining the whole list at once, whatever the topology; the
-    reported :class:`CollapseStats` count the original inputs, as the
-    serial call would.  ``fanin`` defaults to one worker-sized chunk
-    per level (the first level then matches the old single-level
-    split).
-
-    Under ``on_error="collect"``, a failed chunk job *excludes its
-    subtree*: the combined graph covers only the surviving inputs, and
-    the failures are reported in ``stats.failures`` (callers must
-    treat such a combination as partial — the §3 guarantee does not
-    cover the excluded runs).  At least one subtree must survive, or a
-    :class:`~repro.errors.BatchError` is raised.
-    """
-    graphs = list(graphs)
-    if not graphs:
-        raise ValueError("combine_graphs_jobs needs at least one graph")
-    engine = BatchEngine(jobs, faults=_fault_policy(faults, timeout,
-                                                    retries, on_error))
-    if min(engine.jobs, len(graphs)) <= 1:
-        return collapse_graphs(graphs, context_sensitive=context_sensitive)
-    if fanin is None:
-        fanin = _default_fanin(len(graphs), engine.jobs)
-    elif fanin < 2:
-        raise ValueError("fanin must be >= 2, got %r" % (fanin,))
-    items = [(_dump_text(g), g.num_nodes, g.num_edges) for g in graphs]
-    metrics = obs.get_metrics()
-    t0 = time.perf_counter()
-    failures = []
-    levels = 0
-    shipped = 0
-    with obs.get_tracer().span("batch.merge", chunks=len(items)):
-        while True:
-            parts = _tree_parts(len(items), engine.jobs, fanin)
-            if parts <= 1:
-                break
-            payloads = [(items[lo:hi], context_sensitive)
-                        for lo, hi in _chunks(len(items), parts)]
-            outcomes = engine.map(_combine_chunk_job, payloads)
-            levels += 1
-            next_items = []
-            for payload, outcome in zip(payloads, outcomes):
-                if isinstance(outcome, JobFailure):
-                    failures.append(outcome)
-                    continue
-                shipped += sum(len(text.encode("utf-8"))
-                               for text, _, _ in payload[0])
-                shipped += len(outcome["graph"].encode("utf-8"))
-                next_items.append((outcome["graph"],
-                                   outcome["original_nodes"],
-                                   outcome["original_edges"]))
-            if not next_items:
-                raise BatchError(
-                    "all %d combination chunks failed (first failure: %s)"
-                    % (len(outcomes), failures[0]))
-            items = next_items
-        # Root fold, in the parent: at most ``fanin`` survivors.
-        survivors = []
-        original_nodes = original_edges = 0
-        for index, (text, nodes, edges) in enumerate(items):
-            try:
-                survivors.append(_load_text(text))
-            except GraphError as error:
-                if not engine.faults.collecting:
-                    raise
-                failures.append(_corrupt_graph_failure(index, error,
-                                                       metrics))
-                continue
-            original_nodes += nodes
-            original_edges += edges
-        if not survivors:
-            raise BatchError(
-                "all %d combination chunks failed (first failure: %s)"
-                % (len(items), failures[0]))
-        combined, _ = collapse_graphs(survivors,
-                                      context_sensitive=context_sensitive)
-        levels += 1
-    stats = CollapseStats(original_nodes, original_edges,
-                          combined.num_nodes, combined.num_edges,
-                          failures=failures)
-    if metrics.enabled:
-        metrics.gauge("combine.tree_levels", levels)
-        metrics.incr("batch.graphs_bytes", shipped)
-        metrics.add_seconds("batch.merge_seconds",
-                            time.perf_counter() - t0)
-    return combined, stats
-
-
-# ----------------------------------------------------------------------
-# Store-backed corpus combine (tree reduction over a ShardStore)
+# The §3.2 combine: tree reduction + warm-started streaming root fold
 
 
 class StoreCombineResult:
-    """A store-backed corpus combine: report plus anytime-bound trail.
+    """A multi-run combine: report plus anytime-bound trail.
 
     ``report`` is the usual Kraft-sound combined
     :class:`~repro.core.report.FlowReport` (bit-identical to folding
-    the corpus without a store); ``anytime`` is the
+    the runs one-shot); ``anytime`` is the
     :class:`~repro.core.combine.IncrementalKraft` trail — a monotone
     nonincreasing sequence of sound upper bounds, starting when the
     corpus is sealed and ending at the exact combined bound; ``levels``
@@ -521,6 +381,23 @@ class StoreCombineResult:
                    if self.failures else ""))
 
 
+def _default_fanin(count, jobs):
+    """Default reduction fan-in: one worker-sized chunk per level.
+
+    Chosen so the first level splits the inputs into ``jobs``
+    contiguous chunks; further levels keep reducing until one chunk
+    remains for the parent-side root fold.
+    """
+    return max(2, -(-count // max(jobs, 1)))
+
+
+def _tree_parts(count, jobs, fanin):
+    """Chunk count for one reduction level (1 means: root fold next)."""
+    if count <= fanin:
+        return 1
+    return min(jobs, -(-count // fanin))
+
+
 def _store_combine_chunk_job(payload):
     """Left-fold one contiguous chunk of store shards in a worker.
 
@@ -554,70 +431,77 @@ def _store_combine_chunk_job(payload):
     }
 
 
-def combine_store_jobs(store, context_sensitive=True, jobs=1, fanin=None,
-                       timeout=None, retries=0, on_error="raise",
-                       faults=None, warm_start=True, stats_list=None,
-                       warnings=None):
-    """Combine a :class:`~repro.store.ShardStore` corpus by tree
-    reduction; returns a :class:`StoreCombineResult`.
+def _combine(refs, store, context_sensitive=True, jobs=1, faults=None,
+             fanin=None, warm_start=True, stats_list=None, warnings=None,
+             metas=None):
+    """The §3.2 multi-run combine; returns a :class:`StoreCombineResult`.
 
-    The corpus is taken in its deduped first-occurrence view (digest +
-    multiplicity) when every shard is dedup-safe, falling back to the
-    literal manifest order otherwise — either way the combined graph,
-    cut, and bound are bit-identical to folding the manifest's graphs
-    through the plain :func:`combine_graphs_jobs` /
-    :func:`~repro.graph.collapse.collapse_graphs` path.  Reduction
-    levels run across the worker pool exchanging only store references;
-    the root level streams the surviving subtrees through a
-    :class:`~repro.core.combine.StreamingCombiner` with warm-started
-    re-solves.  Incremental Kraft accounting
-    (:class:`~repro.core.combine.IncrementalKraft`) maintains a sound
-    anytime upper bound throughout; the trail is returned as
-    ``result.anytime``.
+    Every combine entry point ends here.  ``refs`` is an ordered list
+    of ``(shard, multiplicity)``, where a shard is an in-memory
+    :class:`~repro.graph.flowgraph.FlowGraph` or the digest of an
+    object in ``store``.  Each shard is admitted to an
+    :class:`~repro.core.combine.IncrementalKraft` accountant, which is
+    then sealed.  While more than one chunk remains, a reduction level
+    left-folds contiguous chunks across the worker pool, exchanging
+    only store digests; in-memory shards are written to ``store`` (a
+    temporary one when ``store`` is ``None``) just before the first
+    level, so a root-only combine — ``jobs=1``, or at most ``fanin``
+    shards — never touches disk.  The survivors are folded at the root
+    through one warm-started
+    :class:`~repro.core.combine.StreamingCombiner`, merging their Kraft
+    groups step by step, and the accountant snaps to the exact bound.
+    ``metas`` optionally maps digests to the store metadata the caller
+    has already read, so no shard's metadata is read twice.
 
-    Under ``on_error="collect"``, a failed subtree is dropped from both
-    the combined graph and the anytime account; the report comes back
+    The union-find merge is associative over ordered contiguous
+    chunks, and a warm-started solve exposes the same canonical cut as
+    a cold one, so the combined graph, bound, and cut equal the
+    one-shot :func:`~repro.graph.collapse.collapse_graphs` + solve over
+    the expanded refs, whatever the topology.  Under a collecting
+    ``faults`` policy a failed chunk drops its subtree, a shard that
+    fails to load at the root drops itself, and the report comes back
     partial.
     """
-    if not isinstance(store, ShardStore):
-        store = ShardStore(store, create=False)
-    if not len(store):
-        raise ValueError("combine_store_jobs needs a non-empty store "
-                         "(no manifest entries in %s)" % store.root)
-    engine = BatchEngine(jobs, faults=_fault_policy(faults, timeout,
-                                                    retries, on_error))
-    entries = store.multiplicities()
-    metas = {digest: store.meta(digest) for digest, _ in entries}
-    safe_key = ("dedup_safe_context" if context_sensitive
-                else "dedup_safe_location")
-    if all(metas[digest][safe_key] for digest, _ in entries):
-        refs = entries
-    else:
-        # A shard with unmergeable-only nodes would contribute fresh
-        # classes per repeat; keep the literal order so bit-identity
-        # with the plain fold holds unconditionally.
-        refs = [(digest, 1) for digest in store.order()]
-    kraft = IncrementalKraft()
-    items = []
-    gids = []
-    for digest, mult in refs:
-        meta = metas[digest]
-        gids.append(kraft.admit(meta["source_cap"], meta["sink_cap"], mult))
-        items.append((digest, mult, meta["nodes"], meta["edges"], 1))
+    if not refs:
+        raise ValueError("nothing to combine: no shards given")
+    engine = BatchEngine(jobs, faults=faults)
     if fanin is None:
-        fanin = _default_fanin(len(items), engine.jobs)
+        fanin = _default_fanin(len(refs), engine.jobs)
     elif fanin < 2:
         raise ValueError("fanin must be >= 2, got %r" % (fanin,))
+    kraft = IncrementalKraft()
+    metas = {} if metas is None else metas
+    items = []
+    gids = []
+    for shard, mult in refs:
+        if isinstance(shard, str):
+            if shard not in metas:
+                metas[shard] = store.meta(shard)
+            meta = metas[shard]
+            caps = (meta["source_cap"], meta["sink_cap"])
+            sizes = (meta["nodes"], meta["edges"])
+        else:
+            caps = (shard.source_capacity(), shard.sink_capacity())
+            sizes = (shard.num_nodes, shard.num_edges)
+        gids.append(kraft.admit(caps[0], caps[1], mult))
+        items.append((shard, mult, sizes[0], sizes[1], 1))
     kraft.seal()
     metrics = obs.get_metrics()
     t0 = time.perf_counter()
     failures = []
     levels = 0
-    with obs.get_tracer().span("batch.merge", chunks=len(items)):
+    with ExitStack() as cleanup, \
+            obs.get_tracer().span("batch.merge", chunks=len(items)):
         while True:
             parts = _tree_parts(len(items), engine.jobs, fanin)
             if parts <= 1:
                 break
+            if store is None:
+                store = ShardStore(cleanup.enter_context(
+                    tempfile.TemporaryDirectory(prefix="repro-combine-")))
+            items = [(shard if isinstance(shard, str)
+                      else store.put_object(shard), *rest)
+                     for shard, *rest in items]
             slices = _chunks(len(items), parts)
             payloads = [(store.root, items[lo:hi], context_sensitive)
                         for lo, hi in slices]
@@ -647,18 +531,19 @@ def combine_store_jobs(store, context_sensitive=True, jobs=1, fanin=None,
         combiner = StreamingCombiner(context_sensitive=context_sensitive,
                                      warm_start=warm_start)
         acc_gid = None
-        for index, ((digest, mult, nodes, edges, runs), gid) \
+        for index, ((shard, mult, nodes, edges, runs), gid) \
                 in enumerate(zip(items, gids)):
-            try:
-                graph = store.get(digest)
-            except (StoreError, GraphError) as error:
-                if not engine.faults.collecting:
-                    raise
-                failures.append(_corrupt_graph_failure(index, error,
-                                                       metrics))
-                kraft.drop(gid)
-                continue
-            combiner.add(graph, times=mult, original_nodes=nodes,
+            if isinstance(shard, str):
+                try:
+                    shard = store.get(shard)
+                except (StoreError, GraphError) as error:
+                    if not engine.faults.collecting:
+                        raise
+                    failures.append(_corrupt_graph_failure(index, error,
+                                                           metrics))
+                    kraft.drop(gid)
+                    continue
+            combiner.add(shard, times=mult, original_nodes=nodes,
                          original_edges=edges, run_count=runs)
             if acc_gid is None:
                 acc_gid = gid
@@ -675,7 +560,7 @@ def combine_store_jobs(store, context_sensitive=True, jobs=1, fanin=None,
         report = combiner.report(stats_list=stats_list,
                                  warnings=list(warnings or []),
                                  failures=failures)
-    attempted = len(store)
+    attempted = sum(mult for _, mult in refs)
     if failures:
         _mark_partial(report, attempted - combiner.runs, attempted)
     if metrics.enabled:
@@ -683,7 +568,115 @@ def combine_store_jobs(store, context_sensitive=True, jobs=1, fanin=None,
         metrics.add_seconds("batch.merge_seconds",
                             time.perf_counter() - t0)
     return StoreCombineResult(report, kraft.trail, levels, attempted,
-                              store.distinct, combiner.runs, failures)
+                              len({shard for shard, _ in refs}),
+                              combiner.runs, failures)
+
+
+def _open_store(store):
+    """A :class:`~repro.store.ShardStore` from a store or a directory
+    path (created if missing)."""
+    return store if isinstance(store, ShardStore) else ShardStore(store)
+
+
+def _combine_graphs(graphs, context_sensitive, jobs, faults, store,
+                    stats_list=None, warnings=None):
+    """The parallel or store-backed combine behind
+    :func:`~repro.core.measure.measure_runs` and
+    :func:`~repro.graph.collapse.combine_runs`.
+
+    Without a ``store`` the graphs are combined directly; with one they
+    are appended to it first and the *whole* store corpus is combined.
+    """
+    if store is None:
+        return _combine([(graph, 1) for graph in graphs], None,
+                        context_sensitive, jobs, faults,
+                        stats_list=stats_list, warnings=warnings)
+    store = _open_store(store)
+    for graph in graphs:
+        store.put(graph)
+    return combine_store_jobs(store, context_sensitive=context_sensitive,
+                              jobs=jobs, faults=faults,
+                              stats_list=stats_list, warnings=warnings)
+
+
+def combine_graphs_jobs(graphs, context_sensitive=True, jobs=1,
+                        timeout=None, retries=0, on_error="raise",
+                        faults=None, fanin=None):
+    """Tree-reduced parallel :func:`~repro.graph.collapse.collapse_graphs`.
+
+    With ``jobs=1`` or a single graph this is
+    :func:`~repro.graph.collapse.collapse_graphs`.  Otherwise the
+    graphs go through the one multi-run combine: contiguous chunks of
+    at most ``fanin`` graphs merge level by level across the worker
+    pool (exchanging digests through a temporary shard store), and the
+    parent folds the last level.  No process ever materializes more
+    than one chunk of coverage-sized graphs at a time.  The result
+    (same node numbering, edge order, capacities, and
+    labels-as-serialized) is identical to combining the whole list at
+    once, and the reported :class:`CollapseStats` count the original
+    inputs.
+
+    Under ``on_error="collect"``, a failed chunk job *excludes its
+    subtree*: the combined graph covers only the surviving inputs, and
+    the failures are reported in ``stats.failures`` (callers must
+    treat such a combination as partial — the §3 guarantee does not
+    cover the excluded runs).  At least one subtree must survive, or a
+    :class:`~repro.errors.BatchError` is raised.
+    """
+    graphs = list(graphs)
+    if not graphs:
+        raise ValueError("combine_graphs_jobs needs at least one graph")
+    faults = _fault_policy(faults, timeout, retries, on_error)
+    if jobs == 1 or len(graphs) == 1:
+        return collapse_graphs(graphs, context_sensitive=context_sensitive)
+    report = _combine([(graph, 1) for graph in graphs], None,
+                      context_sensitive, jobs, faults, fanin).report
+    return report.graph, report.collapse_stats
+
+
+def combine_store_jobs(store, context_sensitive=True, jobs=1, fanin=None,
+                       timeout=None, retries=0, on_error="raise",
+                       faults=None, warm_start=True, stats_list=None,
+                       warnings=None):
+    """Combine a :class:`~repro.store.ShardStore` corpus by tree
+    reduction; returns a :class:`StoreCombineResult`.
+
+    The corpus is taken in its deduped first-occurrence view (digest +
+    multiplicity) when every shard is dedup-safe, falling back to the
+    literal manifest order otherwise — either way the combined graph,
+    cut, and bound are bit-identical to folding the manifest's graphs
+    through the plain :func:`~repro.graph.collapse.collapse_graphs`
+    path.  Reduction levels run across the worker pool exchanging only
+    store references; the root level streams the surviving subtrees
+    through a :class:`~repro.core.combine.StreamingCombiner` with
+    warm-started re-solves.  Incremental Kraft accounting
+    (:class:`~repro.core.combine.IncrementalKraft`) maintains a sound
+    anytime upper bound throughout; the trail is returned as
+    ``result.anytime``.
+
+    Under ``on_error="collect"``, a failed subtree is dropped from both
+    the combined graph and the anytime account; the report comes back
+    partial.
+    """
+    if not isinstance(store, ShardStore):
+        store = ShardStore(store, create=False)
+    if not len(store):
+        raise ValueError("combine_store_jobs needs a non-empty store "
+                         "(no manifest entries in %s)" % store.root)
+    entries = store.multiplicities()
+    safe_key = ("dedup_safe_context" if context_sensitive
+                else "dedup_safe_location")
+    metas = {digest: store.meta(digest) for digest, _ in entries}
+    if all(metas[digest][safe_key] for digest, _ in entries):
+        refs = entries
+    else:
+        # A shard with unmergeable-only nodes would contribute fresh
+        # classes per repeat; keep the literal order so bit-identity
+        # with the plain fold holds unconditionally.
+        refs = [(digest, 1) for digest in store.order()]
+    return _combine(refs, store, context_sensitive, jobs,
+                    _fault_policy(faults, timeout, retries, on_error),
+                    fanin, warm_start, stats_list, warnings, metas)
 
 
 # ----------------------------------------------------------------------

@@ -77,11 +77,11 @@ class StreamingCombiner:
 
     After every ``add`` the current Kraft-sound bound over all runs so
     far is available as :attr:`bits` -- an *anytime* bound that only the
-    streaming path can provide.  The bound is identical to the one-shot
-    combination's (the max-flow value is unique); with warm starting the
-    minimum *cut* may sit elsewhere when several cuts tie, which is
-    sound -- any minimum cut of the combined graph yields a valid §3
-    policy (``docs/backends.md`` has the full argument).
+    streaming path can provide.  The bound and the minimum cut are
+    identical to the one-shot combination's: the max-flow value is
+    unique, and the cut's source side is the set of nodes reachable in
+    the residual network, which is the same for every maximum flow
+    (``docs/backends.md`` has the full argument).
 
     Args:
         context_sensitive: merge-key sensitivity, as for

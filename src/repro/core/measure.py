@@ -133,49 +133,45 @@ def measure_runs(graphs, collapse="context", stats_list=None, warnings=None,
     could carry any of the runs' messages... more precisely, the sum of
     per-run flows is feasible in the combined graph).
 
-    ``jobs > 1`` combines the graphs by tree reduction across worker
-    processes (:func:`repro.batch.runs.combine_graphs_jobs`); the
-    result — bound, cut, and combined graph — is identical to the
-    serial combination.  A collecting ``faults`` policy there can drop
-    failed subtrees; the report then comes back marked ``partial`` with
-    the failures noted in ``collapse_stats.failures``.
+    The serial call is the one-shot reference: one
+    :func:`~repro.graph.collapse.collapse_graphs` and one cold
+    ``solver`` run.  ``jobs > 1`` or a ``store`` hands the graphs to the
+    package's one multi-run combine (:mod:`repro.batch.runs`) instead:
+    a tree reduction across worker processes and a warm-started
+    streaming root fold with Dinic's algorithm.  The bound, cut, and
+    combined graph are identical to the serial result.  A collecting
+    ``faults`` policy there can drop failed subtrees; the report then
+    comes back marked ``partial`` with the failures noted in
+    ``collapse_stats.failures``.
 
     ``store`` (a :class:`~repro.store.ShardStore` or a directory path)
-    routes the combine through the corpus pipeline instead: the graphs
-    are appended to the store content-addressed (identical graphs dedup
-    to a multiplicity) and the bound is computed over the *entire*
-    store corpus by :func:`repro.batch.runs.combine_store_jobs` — so
-    the report also covers shards appended in earlier calls against the
-    same store.  On a fresh store the result is bit-identical to the
-    plain combine of ``graphs``.
+    appends the graphs to the store content-addressed first (identical
+    graphs dedup to a multiplicity) and computes the bound over the
+    *entire* store corpus — so the report also covers shards appended
+    in earlier calls against the same store.  On a fresh store the
+    result is bit-identical to the plain combine of ``graphs``.
     """
-    if store is not None:
-        from ..batch.runs import combine_store_jobs
-        from ..store import ShardStore
-        shard_store = store if isinstance(store, ShardStore) \
-            else ShardStore(store)
-        for graph in graphs:
-            shard_store.put(graph)
-        result = combine_store_jobs(
-            shard_store, context_sensitive=(collapse == "context"),
-            jobs=jobs or 1, faults=faults, stats_list=stats_list,
-            warnings=warnings)
-        return result.report
+    if collapse not in COLLAPSE_MODES:
+        raise ValueError("collapse must be one of %r, got %r"
+                         % (COLLAPSE_MODES, collapse))
     graphs = list(graphs)
+    context_sensitive = collapse == "context"
     metrics = obs.get_metrics()
     tracer = obs.get_tracer()
     span = tracer.span("measure.runs", runs=len(graphs), collapse=collapse,
                        jobs=jobs or 1)
+    if store is not None or (jobs and jobs > 1):
+        from ..batch.runs import _combine_graphs
+        with span, metrics.phase("measure"):
+            report = _combine_graphs(graphs, context_sensitive, jobs or 1,
+                                     faults, store, stats_list,
+                                     warnings).report
+            span.set(bits=report.bits)
+        return report
     with span, metrics.phase("measure"):
         with metrics.phase("collapse"):
-            if jobs and jobs > 1:
-                from ..batch.runs import combine_graphs_jobs
-                combined, collapse_stats = combine_graphs_jobs(
-                    graphs, context_sensitive=(collapse == "context"),
-                    jobs=jobs, faults=faults)
-            else:
-                combined, collapse_stats = collapse_graphs(
-                    graphs, context_sensitive=(collapse == "context"))
+            combined, collapse_stats = collapse_graphs(
+                graphs, context_sensitive=context_sensitive)
         value, residual = solver(combined)
         with metrics.phase("mincut"):
             cut = min_cut_from_residual(combined, residual)
@@ -186,7 +182,7 @@ def measure_runs(graphs, collapse="context", stats_list=None, warnings=None,
             merged_stats[key] = merged_stats.get(key, 0) + val
     if metrics.enabled:
         _publish(metrics, combined, value, cut)
-    report = FlowReport(
+    return FlowReport(
         bits=value,
         mincut=cut,
         graph=combined,
@@ -197,6 +193,4 @@ def measure_runs(graphs, collapse="context", stats_list=None, warnings=None,
         warnings=warnings,
         metrics=metrics.snapshot() if metrics.enabled else None,
         trace_spans=tracer.snapshot() if tracer.enabled else None,
-        partial=bool(getattr(collapse_stats, "failures", None)),
     )
-    return report

@@ -521,36 +521,24 @@ def combine_runs(graphs, context_sensitive=True, jobs=1, faults=None,
     """Combine the graphs of multiple runs (Section 3.2).
 
     Alias of :func:`collapse_graphs`, named for the multi-run use case.
-    ``jobs > 1`` fans the combination over worker processes as a tree
-    reduction (:func:`repro.batch.runs.combine_graphs_jobs`): chunks
-    merge level by level across the pool and the parent folds only the
-    last level, so no process ever holds more than O(coverage) graph.
-    The combined graph is identical to the serial result.  ``faults``
-    (a :class:`~repro.batch.engine.FaultPolicy`) configures that
-    fan-out's failure handling; see :func:`combine_graphs_jobs`.
+    ``jobs > 1`` or a ``store`` hands the graphs to the package's one
+    multi-run combine (:mod:`repro.batch.runs`): chunks merge level by
+    level across the worker pool and the parent folds only the last
+    level, so no process ever holds more than O(coverage) graph.
+    ``faults`` (a :class:`~repro.batch.engine.FaultPolicy`) configures
+    that fan-out's failure handling; failed subtrees are listed in the
+    returned stats' ``failures``.
 
     ``store`` (a :class:`~repro.store.ShardStore` or a directory path)
     appends the graphs to a content-addressed corpus first and combines
-    the *whole* store via
-    :func:`repro.batch.runs.combine_store_jobs` — identical graphs
-    dedup to a multiplicity, and reduction levels exchange digests
-    instead of serialized graphs.  On a fresh store the returned
-    ``(graph, stats)`` is bit-identical to the plain combine.
+    the *whole* store — identical graphs dedup to a multiplicity, and
+    reduction levels exchange digests instead of graphs.  Either way,
+    on a fresh store or none, the returned ``(graph, stats)`` is
+    bit-identical to the serial combine.
     """
-    if store is not None:
-        from ..batch.runs import combine_store_jobs
-        from ..store import ShardStore
-        shard_store = store if isinstance(store, ShardStore) \
-            else ShardStore(store)
-        for graph in graphs:
-            shard_store.put(graph)
-        result = combine_store_jobs(shard_store,
-                                    context_sensitive=context_sensitive,
-                                    jobs=jobs or 1, faults=faults)
-        return result.report.graph, result.report.collapse_stats
-    if jobs and jobs > 1:
-        from ..batch.runs import combine_graphs_jobs
-        return combine_graphs_jobs(graphs,
-                                   context_sensitive=context_sensitive,
-                                   jobs=jobs, faults=faults)
-    return collapse_graphs(graphs, context_sensitive=context_sensitive)
+    if store is None and not (jobs and jobs > 1):
+        return collapse_graphs(graphs, context_sensitive=context_sensitive)
+    from ..batch.runs import _combine_graphs
+    report = _combine_graphs(list(graphs), context_sensitive, jobs or 1,
+                             faults, store).report
+    return report.graph, report.collapse_stats

@@ -172,8 +172,9 @@ def dinic_max_flow(graph, warm_start=None, backend=None):
     of a graph this one grew out of: the prior flow is replayed onto the
     fresh residual (after feasibility and conservation checks) and only
     the *increment* is augmented.  The max-flow value is identical to a
-    cold solve -- it is unique -- though the minimum cut found may sit
-    elsewhere when several cuts share the optimal capacity.  A warm
+    cold solve -- it is unique -- and so is the residual-reachable
+    source side, hence the canonical minimum cut, even when several
+    cuts share the optimal capacity.  A warm
     start that cannot be reused falls back to a cold solve and counts
     ``maxflow.warm_start.fallbacks``.
 

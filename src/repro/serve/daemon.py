@@ -20,7 +20,8 @@ State directory layout::
         progress.jsonl       one record per completed run (the commit
                              point: digest + bits on success, the
                              JobFailure dict on failure)
-        kraft.json           resumable IncrementalKraft state
+        kraft.json           resumable IncrementalKraft state (the
+                             live anytime bound while runs execute)
         result.json          the final report document (atomic write)
 
 Durability argument, in order of the writes: a run's shard blob is
@@ -32,11 +33,13 @@ a crash after it resumes past the run (the blob is already durable).
 The Kraft accountant is checkpointed after the progress line and
 verified against it on resume — a stale or torn ``kraft.json`` is
 rebuilt from the progress records and the stored shard metadata, so
-no run is ever double-admitted into the §3 accounting.  The final
-combine folds the stored shards in run-index order through the same
-:class:`~repro.core.combine.StreamingCombiner` path an uninterrupted
-run uses, which is why a killed-and-resumed job's final bounds are
-bit-identical to an undisturbed one's.
+no run is ever double-admitted into the §3 accounting.  Finishing a
+job writes nothing but ``result.json`` and the ack: the final combine
+(:func:`repro.batch.runs._combine`, the package's one multi-run
+combine) folds the stored shards in run-index order and computes its
+own anytime trail from the success set alone, which is why a
+killed-and-resumed job's result — bounds and trail — is bit-identical
+to an undisturbed one's, wherever the kill landed.
 
 Graceful degradation: worker crashes ride the existing
 ``FaultPolicy(on_error="collect")`` path, so a job that loses runs
@@ -57,8 +60,8 @@ import time
 
 from .. import obs
 from ..batch.engine import PENDING, BatchEngine, FaultPolicy, JobFailure
-from ..batch.runs import _trace_run_job
-from ..core.combine import IncrementalKraft, StreamingCombiner
+from ..batch.runs import _combine, _trace_run_job
+from ..core.combine import IncrementalKraft
 from ..core.policy import CutPolicy
 from ..errors import ServeError
 from ..graph.flowgraph import INF
@@ -404,9 +407,8 @@ class MeasurementDaemon:
                 if metrics.enabled:
                     metrics.incr("serve.drained")
                 return
-            self._finalize_job(job, canonical, store, kraft_path,
-                               completed, kraft, runs_total,
-                               time.monotonic() - t0)
+            self._finalize_job(job, canonical, store, completed,
+                               runs_total, time.monotonic() - t0)
         finally:
             store.close()
             self._clear_live(job.id)
@@ -463,8 +465,8 @@ class MeasurementDaemon:
         finally:
             handle.close()
 
-    def _finalize_job(self, job, canonical, store, kraft_path, completed,
-                      kraft, runs_total, seconds):
+    def _finalize_job(self, job, canonical, store, completed, runs_total,
+                      seconds):
         success = sorted(run for run, record in completed.items()
                          if "digest" in record)
         failures = [dict(completed[run]["error"], run=run)
@@ -481,25 +483,18 @@ class MeasurementDaemon:
                            {"runs": runs_total, "covered": 0,
                             "error": failures[0] if failures else None})
             return
-        combiner = StreamingCombiner(
-            context_sensitive=(canonical["collapse"] == "context"))
         warnings = []
         stats_list = []
         for run in success:
-            record = completed[run]
-            combiner.add(store.get(record["digest"]))
-            warnings.extend(record.get("warnings") or [])
-            stats_list.append(record.get("stats") or {})
-        if not kraft.sealed:
-            kraft.seal()
-        bits = combiner.bits
-        kraft.finalize(bits)
-        _atomic_json(kraft_path, {"format": "kraft-v1",
-                                  "kraft": kraft.to_dict(),
-                                  "runs": success})
-        report = combiner.report(stats_list=stats_list,
-                                 warnings=warnings)
-        cut = CutPolicy.from_report(report)
+            warnings.extend(completed[run].get("warnings") or [])
+            stats_list.append(completed[run].get("stats") or {})
+        # The final combine and its anytime trail depend on the success
+        # set alone, so a job resumed at any point reproduces them.
+        refs = [(completed[run]["digest"], 1) for run in success]
+        result = _combine(refs, store, canonical["collapse"] == "context",
+                          stats_list=stats_list, warnings=warnings)
+        bits = result.bits
+        cut = CutPolicy.from_report(result.report)
         doc = {
             "id": job.id,
             "bits": _finite(bits),
@@ -507,7 +502,7 @@ class MeasurementDaemon:
             "covered": len(success),
             "partial": bool(failures),
             "per_run_bits": [completed[run]["bits"] for run in success],
-            "anytime": [_finite(b) for b in kraft.trail],
+            "anytime": [_finite(b) for b in result.anytime],
             "failures": failures,
             "warnings": warnings,
             "cut": cut.to_dict(),
