@@ -274,22 +274,6 @@ def section_backends():
     }
 
 
-def section_kernels():
-    """Per-backend kernel micro-times (benchmarks/bench_kernels.py)."""
-    from benchmarks.bench_kernels import kernel_timings, print_table
-    print("\n### Kernels: per-backend micro-times"
-          " (pack/unpack/popcount/width_mask)")
-    timings = kernel_timings()
-    print_table(timings)
-    if "native" not in timings:
-        print("note: native backend unavailable (no compiled "
-              "repro._native); pure-Python kernels only")
-    return {
-        "backends": sorted(timings),
-        "median_seconds": timings,
-    }
-
-
 def section53_native_vs_fast():
     """Native (compiled) vs fast (pure Python) Dinic solves.
 
@@ -558,7 +542,6 @@ BENCHMARKS = (
     ("sec101_batch_multisecret", section101_batch_multisecret),
     ("backends_fast_vs_reference", section_backends),
     ("sec53_native_vs_fast", section53_native_vs_fast),
-    ("kernels_by_backend", section_kernels),
     ("warmstart_streaming_combine", section_warmstart),
     ("sec3_corpus_combine", section3_corpus_combine),
 )

@@ -1,26 +1,24 @@
 /* Compiled kernels for the "native" backend (docs/backends.md).
  *
- * This is the whole native surface: three families of kernels behind the
- * same bit-identity contract as the pure-Python backends.
+ * This is the whole native surface: the two kernel slots the native
+ * backend fills on top of the fast backend, behind the same
+ * bit-identity contract as the pure-Python backends.
  *
- *   1. Bitset shadow-propagation batch ops: pack_byte_masks /
- *      unpack_byte_masks, mirroring repro.shadow.fast, plus a fused
- *      binary_kernel that evaluates one frontend binary operation and
- *      its Section 2.3 transfer function in a single call (mirroring
+ *   1. binary_kernel: evaluates one frontend binary operation and its
+ *      Section 2.3 transfer function in a single call (mirroring
  *      repro.pytrace.session._BIN_EVAL/_CMP_EVAL composed with
  *      repro.shadow.transfer.BINARY).
- *   2. Dinic BFS-level + blocking-flow over the flat forward-star
- *      arrays of repro.graph.maxflow.ResidualNetwork (arc 2i forward,
- *      2i+1 reverse, partner = arc ^ 1).  The carried warm-start flow
- *      is applied on the Python side; the kernel receives the
- *      pre-seeded capacities and the carried value.
- *   3. popcount / width_mask helpers from repro.shadow.bitmask.
+ *   2. dinic: Dinic BFS-level + blocking-flow over the flat
+ *      forward-star arrays of repro.graph.maxflow.ResidualNetwork
+ *      (arc 2i forward, 2i+1 reverse, partner = arc ^ 1).  The carried
+ *      warm-start flow is applied on the Python side; the kernel
+ *      receives the pre-seeded capacities and the carried value.
  *
  * Every kernel either returns the exact value the pure-Python code
  * would produce or returns None ("fall back to Python"), never an
- * approximation: inputs outside the machine-word fast path (masks or
- * values over 64 bits, widths over 64, capacities over int64) punt to
- * the caller.  The Python wrappers count those punts as
+ * approximation: inputs outside the machine-word fast path (values or
+ * masks over 64 bits, widths over 64, capacities over int64) punt to
+ * the caller.  The Python callers count those punts as
  * shadow.native.fallbacks / maxflow.native.fallbacks.
  *
  * No dependencies beyond the CPython C API; one translation unit.
@@ -30,19 +28,11 @@
 #include <Python.h>
 
 #include <stdint.h>
-#include <string.h>
 
 /* Bumped when a kernel's signature or semantics change; repro._native
  * refuses (degrades to "unavailable") when a stale .so reports a
  * different ABI than the Python side expects. */
 #define KERNEL_ABI 1
-
-/* Cached at module init. */
-static PyObject *g_from_bytes;  /* int.from_bytes */
-static PyObject *g_little;      /* "little" */
-static PyObject *g_zero;        /* 0 */
-static PyObject *g_one;         /* 1 */
-static PyObject *g_ff;          /* 0xFF */
 
 /* ------------------------------------------------------------------ */
 /* Conversion helpers                                                  */
@@ -84,234 +74,6 @@ as_i64(PyObject *obj, int64_t *out)
 }
 
 /* ------------------------------------------------------------------ */
-/* pack_byte_masks / unpack_byte_masks                                 */
-
-/* Low byte of an arbitrary Python int (Python `m & 0xFF` semantics,
- * including negatives).  Returns -1 with an exception set on failure. */
-static int
-low_byte_of(PyObject *item, uint8_t *out)
-{
-    int64_t v;
-    int rc = as_i64(item, &v);
-    if (rc == 0) {
-        *out = (uint8_t)((uint64_t)v & 0xFF);
-        return 0;
-    }
-    if (rc < 0)
-        return -1;
-    /* Out of int64 range (or not a plain int): take the Python path. */
-    {
-        PyObject *masked = PyNumber_And(item, g_ff);
-        long b;
-        if (masked == NULL)
-            return -1;
-        b = PyLong_AsLong(masked);
-        Py_DECREF(masked);
-        if (b == -1 && PyErr_Occurred())
-            return -1;
-        *out = (uint8_t)b;
-        return 0;
-    }
-}
-
-static PyObject *
-kern_pack_byte_masks(PyObject *self, PyObject *masks)
-{
-    PyObject *seq = PySequence_Fast(
-        masks, "pack_byte_masks() expects a sequence of byte masks");
-    Py_ssize_t n, i;
-    PyObject **items;
-    if (seq == NULL)
-        return NULL;
-    n = PySequence_Fast_GET_SIZE(seq);
-    items = PySequence_Fast_ITEMS(seq);
-    if (n <= 8) {
-        uint64_t acc = 0;
-        for (i = 0; i < n; i++) {
-            uint8_t b;
-            if (low_byte_of(items[i], &b) < 0) {
-                Py_DECREF(seq);
-                return NULL;
-            }
-            acc |= (uint64_t)b << (8 * i);
-        }
-        Py_DECREF(seq);
-        return PyLong_FromUnsignedLongLong(acc);
-    }
-    {
-        PyObject *buf = PyBytes_FromStringAndSize(NULL, n);
-        PyObject *result;
-        char *raw;
-        if (buf == NULL) {
-            Py_DECREF(seq);
-            return NULL;
-        }
-        raw = PyBytes_AS_STRING(buf);
-        for (i = 0; i < n; i++) {
-            uint8_t b;
-            if (low_byte_of(items[i], &b) < 0) {
-                Py_DECREF(buf);
-                Py_DECREF(seq);
-                return NULL;
-            }
-            raw[i] = (char)b;
-        }
-        Py_DECREF(seq);
-        result = PyObject_CallFunctionObjArgs(g_from_bytes, buf, g_little,
-                                              NULL);
-        Py_DECREF(buf);
-        return result;
-    }
-}
-
-static PyObject *
-kern_unpack_byte_masks(PyObject *self, PyObject *args)
-{
-    PyObject *mask;
-    Py_ssize_t num_bytes, i;
-    uint64_t m;
-    int rc;
-    if (!PyArg_ParseTuple(args, "On:unpack_byte_masks", &mask, &num_bytes))
-        return NULL;
-    if (num_bytes < 0) {
-        /* Matches bitmask.width_mask's error for a negative width. */
-        return PyErr_Format(PyExc_ValueError, "negative width %zd",
-                            8 * num_bytes);
-    }
-    rc = as_u64(mask, &m);
-    if (rc < 0)
-        return NULL;
-    if (rc == 0) {
-        PyObject *out = PyList_New(num_bytes);
-        if (out == NULL)
-            return NULL;
-        for (i = 0; i < num_bytes; i++) {
-            uint8_t b = (i < 8) ? (uint8_t)((m >> (8 * i)) & 0xFF) : 0;
-            PyObject *v = PyLong_FromLong((long)b);
-            if (v == NULL) {
-                Py_DECREF(out);
-                return NULL;
-            }
-            PyList_SET_ITEM(out, i, v);
-        }
-        return out;
-    }
-    /* Wide (or negative) mask: truncate(mask, 8*num_bytes) then
-     * to_bytes, exactly like the pure-Python kernel. */
-    {
-        PyObject *shift = NULL, *top = NULL, *wmask = NULL;
-        PyObject *truncated = NULL, *buf = NULL, *out = NULL;
-        const unsigned char *raw;
-        shift = PyLong_FromSsize_t(8 * num_bytes);
-        if (shift == NULL)
-            goto done;
-        top = PyNumber_Lshift(g_one, shift);
-        if (top == NULL)
-            goto done;
-        wmask = PyNumber_Subtract(top, g_one);
-        if (wmask == NULL)
-            goto done;
-        truncated = PyNumber_And(mask, wmask);
-        if (truncated == NULL)
-            goto done;
-        buf = PyObject_CallMethod(truncated, "to_bytes", "ns",
-                                  num_bytes, "little");
-        if (buf == NULL)
-            goto done;
-        raw = (const unsigned char *)PyBytes_AS_STRING(buf);
-        out = PyList_New(num_bytes);
-        if (out == NULL)
-            goto done;
-        for (i = 0; i < num_bytes; i++) {
-            PyObject *v = PyLong_FromLong((long)raw[i]);
-            if (v == NULL) {
-                Py_CLEAR(out);
-                goto done;
-            }
-            PyList_SET_ITEM(out, i, v);
-        }
-done:
-        Py_XDECREF(shift);
-        Py_XDECREF(top);
-        Py_XDECREF(wmask);
-        Py_XDECREF(truncated);
-        Py_XDECREF(buf);
-        return out;
-    }
-}
-
-/* ------------------------------------------------------------------ */
-/* popcount / width_mask                                               */
-
-static PyObject *
-kern_popcount(PyObject *self, PyObject *mask)
-{
-    uint64_t m;
-    int rc = as_u64(mask, &m);
-    if (rc < 0)
-        return NULL;
-    if (rc == 0)
-        return PyLong_FromLong((long)__builtin_popcountll(m));
-    {
-        /* Did not fit uint64: either negative (reference raises
-         * ValueError) or a wide mask (count through its bytes). */
-        int neg = PyObject_RichCompareBool(mask, g_zero, Py_LT);
-        PyObject *nbits_obj, *buf;
-        Py_ssize_t nbits, nbytes, i;
-        const unsigned char *raw;
-        long count = 0;
-        if (neg < 0)
-            return NULL;
-        if (neg)
-            return PyErr_Format(PyExc_ValueError,
-                                "masks are non-negative, got %R", mask);
-        nbits_obj = PyObject_CallMethod(mask, "bit_length", NULL);
-        if (nbits_obj == NULL)
-            return NULL;
-        nbits = PyLong_AsSsize_t(nbits_obj);
-        Py_DECREF(nbits_obj);
-        if (nbits == -1 && PyErr_Occurred())
-            return NULL;
-        nbytes = (nbits + 7) / 8;
-        buf = PyObject_CallMethod(mask, "to_bytes", "ns", nbytes, "little");
-        if (buf == NULL)
-            return NULL;
-        raw = (const unsigned char *)PyBytes_AS_STRING(buf);
-        for (i = 0; i < nbytes; i++)
-            count += __builtin_popcount((unsigned)raw[i]);
-        Py_DECREF(buf);
-        return PyLong_FromLong(count);
-    }
-}
-
-static PyObject *
-kern_width_mask(PyObject *self, PyObject *args)
-{
-    Py_ssize_t width;
-    if (!PyArg_ParseTuple(args, "n:width_mask", &width))
-        return NULL;
-    if (width < 0)
-        return PyErr_Format(PyExc_ValueError, "negative width %zd", width);
-    if (width < 64)
-        return PyLong_FromUnsignedLongLong(((uint64_t)1 << width) - 1);
-    if (width == 64)
-        return PyLong_FromUnsignedLongLong(UINT64_MAX);
-    {
-        PyObject *shift = PyLong_FromSsize_t(width);
-        PyObject *top, *result;
-        if (shift == NULL)
-            return NULL;
-        top = PyNumber_Lshift(g_one, shift);
-        Py_DECREF(shift);
-        if (top == NULL)
-            return NULL;
-        result = PyNumber_Subtract(top, g_one);
-        Py_DECREF(top);
-        return result;
-    }
-}
-
-/* ------------------------------------------------------------------ */
 /* binary_kernel: fused evaluate + transfer for one binary operation   */
 
 /* Op ids; the OP_IDS module dict is the Python-visible name -> id map,
@@ -348,7 +110,7 @@ kern_binary_kernel(PyObject *self, PyObject *args)
     int op;
     PyObject *avo, *amo, *bvo, *bmo;
     Py_ssize_t width;
-    uint64_t av, am, bv, bm, w, value, mask, u;
+    uint64_t av, am, bv, bm, w, value, mask;
     int rc;
     if (!PyArg_ParseTuple(args, "iOOOOn:binary_kernel",
                           &op, &avo, &amo, &bvo, &bmo, &width))
@@ -453,7 +215,6 @@ punt:
         return NULL;
     Py_RETURN_NONE;
 unknown:
-    (void)u;
     return PyErr_Format(PyExc_ValueError, "unknown op id %d", op);
 }
 
@@ -717,14 +478,6 @@ punt:
 /* Module                                                              */
 
 static PyMethodDef kernel_methods[] = {
-    {"pack_byte_masks", kern_pack_byte_masks, METH_O,
-     "Recombine little-endian per-byte masks into one mask."},
-    {"unpack_byte_masks", kern_unpack_byte_masks, METH_VARARGS,
-     "Split a mask into num_bytes little-endian 8-bit masks."},
-    {"popcount", kern_popcount, METH_O,
-     "Number of set bits in a non-negative mask."},
-    {"width_mask", kern_width_mask, METH_VARARGS,
-     "All-secret mask for a width-bit value."},
     {"binary_kernel", kern_binary_kernel, METH_VARARGS,
      "Fused (value, mask) for one binary op, or None to fall back."},
     {"dinic", kern_dinic, METH_VARARGS,
@@ -745,16 +498,6 @@ PyInit__kernels(void)
 {
     PyObject *module, *op_ids;
     size_t i;
-    g_from_bytes = PyObject_GetAttrString((PyObject *)&PyLong_Type,
-                                          "from_bytes");
-    if (g_from_bytes == NULL)
-        return NULL;
-    g_little = PyUnicode_InternFromString("little");
-    g_zero = PyLong_FromLong(0);
-    g_one = PyLong_FromLong(1);
-    g_ff = PyLong_FromLong(0xFF);
-    if (g_little == NULL || g_zero == NULL || g_one == NULL || g_ff == NULL)
-        return NULL;
     module = PyModule_Create(&kernels_module);
     if (module == NULL)
         return NULL;

@@ -258,11 +258,13 @@ class VM:
             default) means unlimited.  Enforced in the step loop every
             :data:`DEADLINE_POLL_STEPS` steps, raising
             :class:`~repro.errors.VMTimeout`.
-        backend: ``"reference"``, ``"fast"``, ``"auto"``/``None``
-            (consult ``REPRO_BACKEND``, then auto-detect).  The fast
-            backend swaps in compiled per-instruction BINOP evaluators
-            and batched array I/O; results are bit-identical to the
-            reference (see ``docs/backends.md``).
+        backend: ``"reference"``, ``"fast"``, ``"native"``, or
+            ``"auto"``/``None`` (consult ``REPRO_BACKEND``, then
+            auto-detect).  The fast backend swaps in compiled
+            per-instruction BINOP evaluators and batched array I/O;
+            the VM runs ``"native"`` exactly like ``"fast"`` (its
+            compiled kernel is the max-flow solve).  Results are
+            bit-identical to the reference (see ``docs/backends.md``).
     """
 
     def __init__(self, program, tracker, secret_input=b"", public_input=b"",

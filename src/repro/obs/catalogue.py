@@ -103,9 +103,6 @@ def _specs():
         (c, "shadow.native.kernel_calls", "calls", "experimental",
          "compiled shadow-kernel invocations (fused binary-op "
          "evaluate+transfer calls by native-backend sessions)"),
-        (HISTOGRAM, "shadow.native.batch_size", "values", "experimental",
-         "distribution of batch sizes handed to native-backend bulk "
-         "entry points, power-of-two buckets"),
         (c, "shadow.native.fallbacks", "calls", "experimental",
          "native shadow-kernel calls that punted to the pure-Python "
          "kernels (operands or widths beyond the machine-word fast "

@@ -30,7 +30,7 @@ from ..errors import TraceError
 from ..graph.flowgraph import INF
 from ..shadow import resolve_backend, transfer
 from ..shadow.fast import native_kernels
-from ..shadow.bitmask import popcount, width_mask
+from ..shadow.bitmask import width_mask
 from .values import SecretInt, _WidthInt, concrete_of, mask_of, width_of
 
 #: Fast-backend binary evaluators: one closure per op instead of the
@@ -192,15 +192,14 @@ class Session:
             merges by (location, calling-context hash), ``"location"``
             by location only, so the live graph stays coverage-sized on
             long runs.  Mutually exclusive with ``tracker``.
-        location_depth: how many frames up to look for the caller's
-            source position (the default suits direct use).
         backend: ``"reference"``, ``"fast"``, ``"native"``, or
             ``"auto"``/``None`` (consult ``REPRO_BACKEND``, then
             auto-detect).  The fast backend swaps in dict-dispatched
-            operator evaluation and bulk secret introduction; the
-            native backend additionally evaluates each binary
-            operation and its transfer function as one compiled
-            :mod:`repro._native` kernel call (operands outside the
+            operator evaluation, inlined call-site lookup, and bulk
+            secret introduction.  The native backend is the fast
+            backend with the compiled :mod:`repro._native` kernel in
+            its binary-op slot, evaluating each operation and its
+            transfer function in one call (operands outside the
             machine-word fast path fall back to the pure pairs,
             counted as ``shadow.native.fallbacks``).  Reports are
             bit-identical across backends (see ``docs/backends.md``).
@@ -224,20 +223,24 @@ class Session:
         self.backend = resolve_backend(backend)
         self._location_sites = {}
         self._fused_sites = {}
+        # The native backend's compiled evaluate+transfer kernel; the
+        # fast binary op calls it when set and otherwise evaluates the
+        # pure-Python pairs.
+        self._nk_binary = None
         if self.backend in ("fast", "native"):
             # Bound-method swap: callers (SecretInt dunders, user code)
             # keep identical call depths, so location derivation is
             # unchanged.
             self.binary_op = self._binary_op_fast
-            self.secret_bytes = self._secret_bytes_fast
             self._caller_location = self._caller_location_fast
-            if self.backend == "native":
-                kern = native_kernels()
-                if kern is not None:
-                    self._nk_binary = kern.binary_kernel
-                    self._nk_op_ids = kern.OP_IDS
-                    self.binary_op = self._binary_op_native
-                    self.secret_bytes = self._secret_bytes_native
+            if getattr(self.tracker, "secret_values", None) is not None:
+                # Checking trackers have no bulk entry point and keep
+                # the reference per-byte loop.
+                self.secret_bytes = self._secret_bytes_fast
+            kern = native_kernels() if self.backend == "native" else None
+            if kern is not None:
+                self._nk_binary = kern.binary_kernel
+                self._nk_op_ids = kern.OP_IDS
             if isinstance(self.tracker, TraceBuilder):
                 # These inline the TraceBuilder delegations (indexed /
                 # branch are defined as implicit_flow calls), so they
@@ -335,54 +338,12 @@ class Session:
         ``shadow.fast.batch_ops`` / ``shadow.fast.batch_values``.
         """
         loc = self._caller_location(2, name or "secret_bytes")
-        secret_values = getattr(self.tracker, "secret_values", None)
-        if secret_values is None:
-            # Checking trackers have no bulk entry point; take the
-            # reference path event by event.
-            out = []
-            for byte in data:
-                prov = self.tracker.secret_value(loc, 8, category=category)
-                if prov.mask == 0:
-                    out.append(byte)
-                else:
-                    out.append(SecretInt(self, byte, 8, prov.mask, prov))
-            return out
-        provs = secret_values(loc, 8, len(data), category=category)
+        provs = self.tracker.secret_values(loc, 8, len(data),
+                                           category=category)
         metrics = obs.get_metrics()
         if metrics.enabled:
             metrics.incr("shadow.fast.batch_ops")
             metrics.incr("shadow.fast.batch_values", len(provs))
-        return [byte if prov.mask == 0
-                else SecretInt(self, byte, 8, prov.mask, prov)
-                for byte, prov in zip(data, provs)]
-
-    def _secret_bytes_native(self, data, name=None, category=None):
-        """Native-backend :meth:`secret_bytes`.
-
-        Identical events to the fast path (the bulk work happens in
-        the tracker, which is shared by both backends); additionally
-        sizes the batch into the ``shadow.native.batch_size``
-        histogram.
-        """
-        loc = self._caller_location(2, name or "secret_bytes")
-        secret_values = getattr(self.tracker, "secret_values", None)
-        if secret_values is None:
-            # Checking trackers have no bulk entry point; take the
-            # reference path event by event.
-            out = []
-            for byte in data:
-                prov = self.tracker.secret_value(loc, 8, category=category)
-                if prov.mask == 0:
-                    out.append(byte)
-                else:
-                    out.append(SecretInt(self, byte, 8, prov.mask, prov))
-            return out
-        provs = secret_values(loc, 8, len(data), category=category)
-        metrics = obs.get_metrics()
-        if metrics.enabled:
-            metrics.incr("shadow.fast.batch_ops")
-            metrics.incr("shadow.fast.batch_values", len(provs))
-            metrics.observe("shadow.native.batch_size", len(provs))
         return [byte if prov.mask == 0
                 else SecretInt(self, byte, 8, prov.mask, prov)
                 for byte, prov in zip(data, provs)]
@@ -471,15 +432,23 @@ class Session:
         return SecretInt(self, value, result_width, mask, prov)
 
     def _binary_op_fast(self, op, a, b, reflected=False):
-        """Fast-backend :meth:`binary_op`.
+        """Fast- and native-backend :meth:`binary_op`.
 
         Identical results to the reference: same concrete values, same
         transfer masks, same tracker events.  The speedups are dict
         dispatch instead of the ``_eval`` if-chain, operand unwrapping
         and caller-site lookup inlined, skipping the transfer function
         when both operands are public (it returns 0 there), and
-        skipping result-width computation for all-public comparisons
-        (their result is 1-bit regardless).
+        skipping result-width computation for comparisons (their
+        result is 1-bit, and ``transfer_compare`` ignores the width).
+
+        Under the native backend the ``_nk_binary`` slot holds the
+        compiled :mod:`repro._native` kernel, which evaluates the op and
+        its transfer function in one call.  Operands or widths outside
+        its machine-word fast path, and division by zero, return
+        ``None`` and take the pure-Python pairs (counted as
+        ``shadow.native.fallbacks``), so every exception is raised by
+        the same code as the reference.
         """
         if reflected:
             a, b = b, a
@@ -494,128 +463,35 @@ class Session:
             bv, bm = b.value, b.mask
         else:
             bv, bm = int(b), 0
+        kernel = self._nk_binary
         pair = _CMP_PAIRS.get(op)
         if pair is not None:
-            value = int(pair[0](av, bv))
-            if am == 0 and bm == 0:
-                if self.interceptor is None:
-                    return value
-                return self.intercept_value(
-                    self._caller_location(3, op), value, 1)
-            # Comparisons take the transfer width from the widest
-            # operand (``_result_width`` falls through to that).
-            if sa:
-                wa = a.width
-            else:
-                wa = getattr(a, "width", None)
-                if wa is None:
-                    wa = max(av.bit_length(), 1)
-            if sb:
-                wb = b.width
-            else:
-                wb = getattr(b, "width", None)
-                if wb is None:
-                    wb = max(bv.bit_length(), 1)
-            mask = pair[1](av, am, bv, bm, wa if wa >= wb else wb) & 1
-            result_width = 1
-        else:
-            pair = _BIN_PAIRS.get(op)
-            if pair is None:
-                raise TraceError("unsupported operation %r" % op)
-            width = self._result_width(op, a, b, av, bv)
-            w = width_mask(width)
-            value = pair[0](av, bv, w)
-            if am == 0 and bm == 0:
-                if self.interceptor is None:
-                    return value
-                return self.intercept_value(
-                    self._caller_location(3, op), value, width)
-            mask = pair[1](av, am, bv, bm, width) & w
-            result_width = width
-        # Inline _caller_location_fast (same frame as the reference's
-        # ``_caller_location(3, op)`` resolves: the operator dunder).
-        frame = sys._getframe(2)
-        site = (frame.f_code, frame.f_lasti, op)
-        loc = self._location_sites.get(site)
-        if loc is None:
-            loc = Location(frame.f_code.co_filename.rsplit("/", 1)[-1],
-                           frame.f_lineno, op)
-            self._location_sites[site] = loc
-        if mask == 0:
-            if self.interceptor is not None:
-                value = self.intercept_value(loc, value, result_width)
-            return value
-        if sa:
-            operands = [a.prov, b.prov] if sb else [a.prov]
-        else:
-            operands = [b.prov] if sb else []
-        prov = self.tracker.operation(loc, mask, operands)
-        if prov.mask == 0:
-            return value  # declassified at a cut (checking mode)
-        return SecretInt(self, value, result_width, mask, prov)
-
-    def _binary_op_native(self, op, a, b, reflected=False):
-        """Native-backend :meth:`binary_op`.
-
-        The fast path's structure with the evaluate+transfer pair
-        fused into one compiled :mod:`repro._native` kernel call.
-        Operands or widths outside the machine-word fast path punt
-        back to the pure-Python pairs (counted as
-        ``shadow.native.fallbacks``), including division by zero, so
-        every exception is raised by the same code as the reference.
-        The kernel is bit-identical where it applies, so values,
-        masks, and tracker events match the other backends exactly.
-        """
-        if reflected:
-            a, b = b, a
-        self._shadow_ops += 1
-        self._native_calls += 1
-        sa = isinstance(a, SecretInt)
-        sb = isinstance(b, SecretInt)
-        if sa:
-            av, am = a.value, a.mask
-        else:
-            av, am = int(a), 0
-        if sb:
-            bv, bm = b.value, b.mask
-        else:
-            bv, bm = int(b), 0
-        pair = _CMP_PAIRS.get(op)
-        if pair is not None:
-            res = self._nk_binary(self._nk_op_ids[op], av, am, bv, bm, 1)
+            width = 1
+            res = None if kernel is None else kernel(
+                self._nk_op_ids[op], av, am, bv, bm, 1)
             if res is None:
-                self._native_fallbacks += 1
                 value = int(pair[0](av, bv))
-                mask = (pair[1](av, am, bv, bm, 1) & 1) if (am or bm) else 0
-            else:
-                value, mask = res
-            if am == 0 and bm == 0:
-                if self.interceptor is None:
-                    return value
-                return self.intercept_value(
-                    self._caller_location(3, op), value, 1)
-            result_width = 1
+                mask = (pair[1](av, am, bv, bm, 1) & 1) if am or bm else 0
         else:
             pair = _BIN_PAIRS.get(op)
             if pair is None:
                 raise TraceError("unsupported operation %r" % op)
             width = self._result_width(op, a, b, av, bv)
-            res = self._nk_binary(self._nk_op_ids[op], av, am, bv, bm,
-                                  width)
+            res = None if kernel is None else kernel(
+                self._nk_op_ids[op], av, am, bv, bm, width)
             if res is None:
-                self._native_fallbacks += 1
                 w = width_mask(width)
                 value = pair[0](av, bv, w)
-                mask = (pair[1](av, am, bv, bm, width) & w) if (am or bm) \
+                mask = (pair[1](av, am, bv, bm, width) & w) if am or bm \
                     else 0
+        if kernel is not None:
+            self._native_calls += 1
+            if res is None:
+                self._native_fallbacks += 1
             else:
                 value, mask = res
-            if am == 0 and bm == 0:
-                if self.interceptor is None:
-                    return value
-                return self.intercept_value(
-                    self._caller_location(3, op), value, width)
-            result_width = width
+        if am == 0 and bm == 0 and self.interceptor is None:
+            return value
         # Inline _caller_location_fast (same frame as the reference's
         # ``_caller_location(3, op)`` resolves: the operator dunder).
         frame = sys._getframe(2)
@@ -627,7 +503,7 @@ class Session:
             self._location_sites[site] = loc
         if mask == 0:
             if self.interceptor is not None:
-                value = self.intercept_value(loc, value, result_width)
+                value = self.intercept_value(loc, value, width)
             return value
         if sa:
             operands = [a.prov, b.prov] if sb else [a.prov]
@@ -636,7 +512,7 @@ class Session:
         prov = self.tracker.operation(loc, mask, operands)
         if prov.mask == 0:
             return value  # declassified at a cut (checking mode)
-        return SecretInt(self, value, result_width, mask, prov)
+        return SecretInt(self, value, width, mask, prov)
 
     def unary_op(self, op, a):
         self._shadow_ops += 1

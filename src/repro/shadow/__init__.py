@@ -6,21 +6,18 @@ popcount of a value's mask is the capacity of its node in the flow
 graph.
 """
 
-from .bitmask import (byte_masks, is_secret, join_byte_masks,
-                      lowest_set_bit, popcount, spread_left, truncate,
-                      width_mask)
-from .fast import (BACKENDS, detect_backend, kernels, native_available,
-                   pack_byte_masks, resolve_backend, unpack_byte_masks)
+from .bitmask import (is_secret, lowest_set_bit, popcount, spread_left,
+                      truncate, width_mask)
+from .fast import (BACKENDS, detect_backend, native_available,
+                   resolve_backend)
 from .transfer import (BINARY, COMPARISONS, UNARY, binary_mask,
                        transfer_select, transfer_sext, transfer_trunc,
                        transfer_zext, unary_mask)
 
 __all__ = [
-    "byte_masks", "is_secret", "join_byte_masks", "lowest_set_bit",
-    "popcount", "spread_left", "truncate", "width_mask",
-    "BACKENDS", "detect_backend", "resolve_backend",
-    "kernels", "native_available",
-    "pack_byte_masks", "unpack_byte_masks",
+    "is_secret", "lowest_set_bit", "popcount", "spread_left", "truncate",
+    "width_mask",
+    "BACKENDS", "detect_backend", "resolve_backend", "native_available",
     "BINARY", "COMPARISONS", "UNARY", "binary_mask", "unary_mask",
     "transfer_select", "transfer_sext", "transfer_trunc", "transfer_zext",
 ]

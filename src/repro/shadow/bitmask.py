@@ -59,23 +59,6 @@ def spread_left(mask, width):
     return width_mask(width) & ~width_mask(low)
 
 
-def byte_masks(mask, num_bytes):
-    """Split a mask into ``num_bytes`` little-endian 8-bit masks.
-
-    Mirrors the paper's handling of memory: "loads and stores of larger
-    values are split into bytes for stores and recombined after loads".
-    """
-    return [(mask >> (8 * i)) & 0xFF for i in range(num_bytes)]
-
-
-def join_byte_masks(masks):
-    """Recombine little-endian per-byte masks into one mask."""
-    mask = 0
-    for i, m in enumerate(masks):
-        mask |= (m & 0xFF) << (8 * i)
-    return mask
-
-
 def is_secret(mask):
     """Whether any bit of the value might be secret."""
     return mask != 0

@@ -6,15 +6,15 @@ its hot kernels, selected by name:
 * ``"reference"`` -- the straightforward per-value / per-bit code the
   rest of this package documents.  It exists to be read against the
   paper and to serve as the oracle in equivalence tests.
-* ``"fast"`` -- batch int-bitset kernels (this module) plus
-  specialised dispatch paths installed by the frontends
-  (:class:`repro.pytrace.session.Session`, :class:`repro.lang.vm.VM`)
-  and the bulk tracker entry point
-  (:meth:`repro.core.tracker.TraceBuilder.secret_values`).
-* ``"native"`` -- everything the fast backend does, with the innermost
-  kernels (the fused binary-op evaluate+transfer and Dinic's
-  blocking-flow solve) executed by the optional compiled extension
-  :mod:`repro._native`.  Available only when the extension was built
+* ``"fast"`` -- specialised dispatch paths installed by the frontends
+  (:class:`repro.pytrace.session.Session`, :class:`repro.lang.vm.VM`),
+  the bulk tracker entry point
+  (:meth:`repro.core.tracker.TraceBuilder.secret_values`), and the
+  collapsing tracker's repeat-event cache.
+* ``"native"`` -- the fast backend with two compiled kernel slots
+  filled from the optional extension :mod:`repro._native`: the
+  session's fused binary-op evaluate+transfer and Dinic's
+  blocking-flow solve.  Available only when the extension was built
   (``setup.py`` marks it ``optional=True``, so a missing C compiler
   never breaks installation); inputs outside the machine-word fast
   path fall back to the pure-Python kernels call by call.
@@ -37,9 +37,6 @@ the extension is missing raises ``ValueError`` (auto never does).
 from __future__ import annotations
 
 import os
-
-from .bitmask import byte_masks, join_byte_masks, popcount, truncate, \
-    width_mask
 
 #: Recognised backend names, in preference order for documentation.
 BACKENDS = ("reference", "fast", "native")
@@ -80,8 +77,8 @@ def detect_backend():
     """The best backend available in this interpreter.
 
     Prefers ``"native"`` when the compiled :mod:`repro._native`
-    extension imports; otherwise the pure-Python fast path (big-int
-    batch kernels, precomputed dispatch tables), which is always
+    extension imports; otherwise the pure-Python fast path
+    (precomputed dispatch tables, bulk tracker calls), which is always
     available.
     """
     return "native" if native_available() else "fast"
@@ -112,68 +109,3 @@ def resolve_backend(backend=None):
             "build_ext --inplace`) or use the pure-Python 'fast' "
             "backend, which 'auto' falls back to automatically")
     return backend
-
-
-def kernels(backend=None):
-    """The low-level kernel functions of ``backend``, by name.
-
-    Returns a dict with ``pack_byte_masks`` / ``unpack_byte_masks`` /
-    ``popcount`` / ``width_mask`` callables -- the per-backend kernel
-    surface that :mod:`benchmarks.bench_kernels` times in isolation and
-    the equivalence suite cross-checks.  All three backends' kernels
-    are bit-identical; they differ only in how the bits are computed.
-    """
-    backend = resolve_backend(backend)
-    if backend == "native":
-        kern = native_kernels()
-        return {
-            "pack_byte_masks": kern.pack_byte_masks,
-            "unpack_byte_masks": kern.unpack_byte_masks,
-            "popcount": kern.popcount,
-            "width_mask": kern.width_mask,
-        }
-    if backend == "fast":
-        return {
-            "pack_byte_masks": pack_byte_masks,
-            "unpack_byte_masks": unpack_byte_masks,
-            "popcount": popcount,
-            "width_mask": width_mask,
-        }
-    return {
-        "pack_byte_masks": join_byte_masks,
-        "unpack_byte_masks": byte_masks,
-        "popcount": popcount,
-        "width_mask": width_mask,
-    }
-
-
-# ----------------------------------------------------------------------
-# Batch int-bitset kernels.
-#
-# The reference helpers in .bitmask walk masks one byte at a time; the
-# batched forms below do the same splits and joins through a single
-# ``bytes`` buffer, which CPython performs in C.  Each is bit-identical
-# to its reference counterpart (asserted by the equivalence suite).
-
-def pack_byte_masks(masks):
-    """Batched :func:`~repro.shadow.bitmask.join_byte_masks`.
-
-    Recombines little-endian per-byte masks into one mask via a single
-    ``int.from_bytes`` call instead of a shift-or loop.
-    """
-    try:
-        buf = bytes(masks)
-    except (ValueError, TypeError):
-        # A mask outside 0..255: fall back to per-byte truncation,
-        # matching join_byte_masks' `m & 0xFF`.
-        buf = bytes(m & 0xFF for m in masks)
-    return int.from_bytes(buf, "little")
-
-
-def unpack_byte_masks(mask, num_bytes):
-    """Batched :func:`~repro.shadow.bitmask.byte_masks`.
-
-    Splits a mask into ``num_bytes`` little-endian 8-bit masks via a
-    single ``int.to_bytes`` call instead of a shift loop.
-    """
-    return list(truncate(mask, 8 * num_bytes).to_bytes(num_bytes, "little"))

@@ -21,10 +21,8 @@ from repro.graph.serialize import dump_graph
 from repro.lang import measure as lang_measure
 from repro.lang import measure_many
 from repro.pytrace import Session
-from repro.shadow import (BACKENDS, byte_masks, detect_backend,
-                          join_byte_masks, native_available,
-                          pack_byte_masks, resolve_backend,
-                          unpack_byte_masks)
+from repro.shadow import (BACKENDS, detect_backend, native_available,
+                          resolve_backend)
 from repro.shadow import fast as fast_mod
 from repro.shadow.fast import ENV_VAR
 
@@ -158,55 +156,6 @@ class TestRegistry:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             resolve_backend("simd")
-
-
-class TestBatchKernels:
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_pack_matches_join(self, seed):
-        rng = random.Random(seed)
-        masks = [rng.randrange(256) for _ in range(rng.randrange(1, 64))]
-        assert pack_byte_masks(masks) == join_byte_masks(masks)
-
-    @pytest.mark.parametrize("seed", [4, 5, 6])
-    def test_unpack_matches_byte_masks(self, seed):
-        rng = random.Random(seed)
-        n = rng.randrange(1, 64)
-        mask = rng.getrandbits(8 * n)
-        assert unpack_byte_masks(mask, n) == byte_masks(mask, n)
-
-    def test_roundtrip(self):
-        masks = [0, 1, 0xFF, 0x80, 0x7F, 3]
-        assert unpack_byte_masks(pack_byte_masks(masks),
-                                 len(masks)) == masks
-
-    def test_pack_tolerates_wide_values(self):
-        # Out-of-range entries fall back to per-byte truncation, the
-        # same ``& 0xFF`` the reference loop applies.
-        assert pack_byte_masks([0x1FF, 2]) == pack_byte_masks([0xFF, 2])
-
-    def test_empty(self):
-        assert pack_byte_masks([]) == 0
-        assert unpack_byte_masks(0, 0) == []
-
-    @pytest.mark.parametrize("seed", [11, 12, 13])
-    def test_kernel_surface_matrix(self, seed):
-        # kernels(backend) exposes the same four callables for every
-        # backend; drive them all against the reference answers.
-        from repro.shadow import kernels
-        rng = random.Random(seed)
-        masks = [rng.randrange(256) for _ in range(rng.randrange(1, 80))]
-        packed = join_byte_masks(masks)
-        value = rng.getrandbits(rng.randrange(1, 128))
-        for backend in available_backends():
-            kern = kernels(backend)
-            assert kern["pack_byte_masks"](masks) == packed, backend
-            assert kern["unpack_byte_masks"](packed,
-                                             len(masks)) == masks, backend
-            assert kern["popcount"](value) == bin(value).count("1"), \
-                backend
-            for width in (1, 8, 31, 64, 65, 200):
-                assert kern["width_mask"](width) == (1 << width) - 1, \
-                    backend
 
 
 class TestVMEquivalence:

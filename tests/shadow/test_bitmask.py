@@ -3,9 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.shadow.bitmask import (byte_masks, is_secret, join_byte_masks,
-                                  lowest_set_bit, popcount, spread_left,
-                                  truncate, width_mask)
+from repro.shadow.bitmask import (is_secret, lowest_set_bit, popcount,
+                                  spread_left, truncate, width_mask)
 
 
 class TestPopcount:
@@ -68,19 +67,6 @@ class TestSpreadLeft:
 
 
 class TestByteSplitting:
-    def test_round_trip(self):
-        mask = 0x00FF10
-        assert join_byte_masks(byte_masks(mask, 3)) == mask
-
-    def test_little_endian_order(self):
-        assert byte_masks(0xAABBCC, 3) == [0xCC, 0xBB, 0xAA]
-
-    @given(st.integers(0, 2**64 - 1), st.integers(8, 10))
-    def test_round_trip_property(self, mask, nbytes):
-        parts = byte_masks(mask, nbytes)
-        assert len(parts) == nbytes
-        assert join_byte_masks(parts) == mask
-
     def test_is_secret(self):
         assert not is_secret(0)
         assert is_secret(1)

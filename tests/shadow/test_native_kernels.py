@@ -2,13 +2,13 @@
 
 The randomized cross-backend matrix lives in
 ``test_backend_equivalence.py``; this file pins down the C-specific
-edges the matrix may not hit: wide-integer punts, error messages that
-must match the pure-Python kernels byte for byte, the ABI staleness
-gate, and the Dinic kernel's residual/counter identity (including the
-int64-overflow fallback).  Everything here skips cleanly when the
-extension is not built.
+edges the matrix may not hit: wide-integer punts and the session's
+accounting of them, the ABI staleness gate, and the Dinic kernel's
+residual/counter identity (including the int64-overflow fallback).
+Everything here skips cleanly when the extension is not built.
 """
 
+import io
 import random
 
 import pytest
@@ -17,9 +17,10 @@ from repro import obs
 from repro.core.locations import Location
 from repro.graph.flowgraph import INF, EdgeLabel, FlowGraph
 from repro.graph.maxflow import dinic_max_flow
+from repro.graph.serialize import dump_graph
+from repro.pytrace import Session
 from repro.shadow import native_available
-from repro.shadow.bitmask import (byte_masks, join_byte_masks, popcount,
-                                  width_mask)
+from repro.shadow.bitmask import width_mask
 from repro.shadow.fast import native_kernels
 
 pytestmark = pytest.mark.skipif(
@@ -46,64 +47,6 @@ class TestABI:
         monkeypatch.setattr(_native, "_impl", None)
         assert _native.load() is None
         assert not _native.available()
-
-
-class TestPackUnpack:
-    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-    def test_fuzz_roundtrip_matches_reference(self, kern, seed):
-        rng = random.Random(seed)
-        for _ in range(200):
-            n = rng.randrange(0, 40)
-            masks = [rng.randrange(256) for _ in range(n)]
-            packed = kern.pack_byte_masks(masks)
-            assert packed == join_byte_masks(masks)
-            assert kern.unpack_byte_masks(packed, n) == byte_masks(packed, n)
-
-    def test_wide_pack_beyond_u64(self, kern):
-        masks = [0xAB] * 23  # 23 bytes: forces the big-int path
-        assert kern.pack_byte_masks(masks) == join_byte_masks(masks)
-        assert kern.unpack_byte_masks(join_byte_masks(masks), 23) == masks
-
-    def test_out_of_range_entries_truncate(self, kern):
-        # Same ``& 0xFF`` the reference loop applies, including to
-        # negative entries (Python's modular low byte).
-        assert kern.pack_byte_masks([0x1FF, 2]) == \
-            join_byte_masks([0xFF, 2])
-        assert kern.pack_byte_masks([-1, -256]) == \
-            join_byte_masks([0xFF, 0])
-
-    def test_unpack_negative_width_rejected(self, kern):
-        from repro.shadow.fast import unpack_byte_masks
-        with pytest.raises(ValueError) as native_err:
-            kern.unpack_byte_masks(5, -3)
-        with pytest.raises(ValueError) as pure_err:
-            unpack_byte_masks(5, -3)
-        assert "negative width" in str(native_err.value)
-        assert "negative width" in str(pure_err.value)
-
-
-class TestPopcountWidthMask:
-    def test_matches_reference_values(self, kern):
-        rng = random.Random(9)
-        for _ in range(200):
-            value = rng.getrandbits(rng.randrange(1, 200))
-            assert kern.popcount(value) == popcount(value)
-        for width in range(0, 130):
-            assert kern.width_mask(width) == width_mask(width)
-
-    def test_negative_mask_message(self, kern):
-        with pytest.raises(ValueError) as native_err:
-            kern.popcount(-5)
-        with pytest.raises(ValueError) as pure_err:
-            popcount(-5)
-        assert str(native_err.value) == str(pure_err.value)
-
-    def test_negative_width_message(self, kern):
-        with pytest.raises(ValueError) as native_err:
-            kern.width_mask(-1)
-        with pytest.raises(ValueError) as pure_err:
-            width_mask(-1)
-        assert str(native_err.value) == str(pure_err.value)
 
 
 class TestBinaryKernel:
@@ -164,6 +107,54 @@ class TestBinaryKernel:
         # Huge shift of a secret mask: the pure transfer may raise
         # MemoryError (reference semantics), so C must not shortcut it.
         assert kern.binary_kernel(op["shl"], 1, 3, 200, 0, 64) is None
+
+
+class TestSessionAccounting:
+    """The session's use of the binary-op kernel slot, end to end."""
+
+    def _wide_run(self, backend):
+        # ``x + 2**70`` has an operand (and result width) beyond the
+        # machine word, so the native slot punts it to the pure pairs.
+        session = Session(backend=backend)
+        x = session.secret_int(200, width=8)
+        y = x + (1 << 70)
+        session.output(y, x ^ 3)
+        obs.enable()
+        try:
+            report = session.measure()
+            snap = obs.get_metrics().snapshot()
+        finally:
+            obs.disable()
+        text = io.StringIO()
+        dump_graph(report.graph, text)
+        return (report.bits, text.getvalue(), session.outputs), snap
+
+    def test_wide_operand_falls_back_with_identical_report(self):
+        native, snap = self._wide_run("native")
+        reference, ref_snap = self._wide_run("reference")
+        assert native == reference
+        # Both binary ops went through the kernel slot; only the wide
+        # addition punted, the 8-bit xor stayed compiled.
+        assert snap["shadow.native.kernel_calls"] == 2
+        assert snap["shadow.native.fallbacks"] == 1
+        assert ref_snap["shadow.native.kernel_calls"] == 0
+        assert ref_snap["shadow.native.fallbacks"] == 0
+
+    @pytest.mark.parametrize("op", ["div", "mod"])
+    def test_secret_division_by_zero_raises_like_reference(self, op):
+        raised = {}
+        for backend in ("reference", "native"):
+            session = Session(backend=backend)
+            x = session.secret_int(7, width=8)
+            zero = session.secret_int(0, width=8)
+            with pytest.raises(Exception) as err:
+                if op == "div":
+                    x // zero
+                else:
+                    x % zero
+            raised[backend] = err.type
+        assert raised["native"] is raised["reference"]
+        assert issubclass(raised["native"], ZeroDivisionError)
 
 
 def random_graph(seed, big_caps=False):

@@ -119,6 +119,14 @@ class TestKnownAnswers:
     def test_comparison_one_bit(self):
         assert binary_mask("eq", 1, 0xFF, 1, 0, WIDTH) == 1
         assert binary_mask("eq", 1, 0, 1, 0, WIDTH) == 0
+        # Width-independent: the fast pytrace session passes width 1
+        # for every comparison instead of the widest operand's width.
+        for op in sorted(COMPARISONS):
+            for a_mask, b_mask, want in ((0xFF, 0, 1), (0, 1, 1),
+                                         (0, 0, 0)):
+                for width in (1, 8, 64, 200):
+                    assert binary_mask(op, 0xAB, a_mask, 1 << 150, b_mask,
+                                       width) == want, (op, width)
 
     def test_unary_ops(self):
         assert unary_mask("not", 0xAB, 0x0F, WIDTH) == 0x0F

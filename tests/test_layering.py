@@ -1,5 +1,5 @@
 """Layering guard: the graph and core layers do not depend on batch,
-store, or serve.
+store, or serve, and only the kernel slots reach the compiled kernels.
 
 ``repro.graph`` and ``repro.core`` sit below the batch engine, the
 shard store, and the measurement service.  The only way up is one lazy
@@ -88,3 +88,45 @@ def test_importing_lower_layers_leaves_batch_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+#: The only modules that may touch the compiled kernels: the backend
+#: registry that loads them and the two kernel slots that call them.
+NATIVE_KERNEL_USERS = ["graph/maxflow.py", "pytrace/session.py",
+                       "shadow/fast.py"]
+
+
+def _package_sources():
+    for root, _dirs, files in os.walk(PACKAGE_ROOT):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(root, name)
+                with open(path) as handle:
+                    yield (os.path.relpath(path, PACKAGE_ROOT),
+                           ast.parse(handle.read(), path))
+
+
+def test_native_kernels_referenced_only_by_its_kernel_slots():
+    users = set()
+    for rel, tree in _package_sources():
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, (ast.alias,
+                                                        ast.FunctionDef))
+                    else None)
+            if name == "native_kernels":
+                users.add(rel)
+    assert sorted(users) == NATIVE_KERNEL_USERS
+
+
+def test_session_has_no_native_method_set():
+    # Native is the fast path with kernel slots filled, not a third
+    # per-backend method set.
+    tree = dict(_package_sources())["pytrace/session.py"]
+    session = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef)
+                   and node.name == "Session")
+    assert [node.name for node in session.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name.endswith("_native")] == []
