@@ -44,8 +44,7 @@ def _publish(metrics, solved, value, cut):
     metrics.gauge("mincut.edges", len(cut.edges))
 
 
-def measure_graph(graph, collapse="context", stats=None, warnings=None,
-                  solver=dinic_max_flow):
+def measure_graph(graph, collapse="context", stats=None, warnings=None):
     """Measure the information flow bound of a completed trace graph.
 
     Args:
@@ -54,8 +53,6 @@ def measure_graph(graph, collapse="context", stats=None, warnings=None,
         stats: optional event-counter dict from the trace builder,
             carried through to the report.
         warnings: optional list of notes carried through to the report.
-        solver: max-flow function of signature ``graph -> (value,
-            residual)``; defaults to Dinic's algorithm.
 
     A graph built by an online-collapsing tracker
     (:class:`~repro.core.tracker.CollapsingTraceBuilder`) arrives
@@ -102,7 +99,7 @@ def measure_graph(graph, collapse="context", stats=None, warnings=None,
             with metrics.phase("collapse"):
                 solved, collapse_stats = collapse_graphs(
                     [graph], context_sensitive=(collapse == "context"))
-        value, residual = solver(solved)
+        value, residual = dinic_max_flow(solved)
         with metrics.phase("mincut"):
             cut = min_cut_from_residual(solved, residual)
         span.set(bits=value)
@@ -124,7 +121,7 @@ def measure_graph(graph, collapse="context", stats=None, warnings=None,
 
 
 def measure_runs(graphs, collapse="context", stats_list=None, warnings=None,
-                 solver=dinic_max_flow, jobs=1, faults=None, store=None):
+                 jobs=1, faults=None, store=None):
     """Measure several runs *together* (Section 3.2).
 
     The graphs are combined by edge label before solving, which forces a
@@ -135,10 +132,11 @@ def measure_runs(graphs, collapse="context", stats_list=None, warnings=None,
 
     The serial call is the one-shot reference: one
     :func:`~repro.graph.collapse.collapse_graphs` and one cold
-    ``solver`` run.  ``jobs > 1`` or a ``store`` hands the graphs to the
-    package's one multi-run combine (:mod:`repro.batch.runs`) instead:
-    a tree reduction across worker processes and a warm-started
-    streaming root fold with Dinic's algorithm.  The bound, cut, and
+    :func:`~repro.graph.maxflow.dinic_max_flow` solve.  ``jobs > 1`` or
+    a ``store`` hands the graphs to the package's one multi-run combine
+    (:mod:`repro.batch.runs`) instead: a tree reduction across worker
+    processes and a warm-started streaming root fold with Dinic's
+    algorithm.  The bound, cut, and
     combined graph are identical to the serial result.  A collecting
     ``faults`` policy there can drop failed subtrees; the report then
     comes back marked ``partial`` with the failures noted in
@@ -172,7 +170,7 @@ def measure_runs(graphs, collapse="context", stats_list=None, warnings=None,
         with metrics.phase("collapse"):
             combined, collapse_stats = collapse_graphs(
                 graphs, context_sensitive=context_sensitive)
-        value, residual = solver(combined)
+        value, residual = dinic_max_flow(combined)
         with metrics.phase("mincut"):
             cut = min_cut_from_residual(combined, residual)
         span.set(bits=value)

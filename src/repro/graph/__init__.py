@@ -2,16 +2,13 @@
 
 This package implements the graph-theoretic half of the paper: the
 capacitated flow networks that model executions (Section 2), the maximum
-flow algorithms that bound information leakage (Section 5), the min-cut
+flow computation that bounds information leakage (Section 5), the min-cut
 extraction that yields checkable policies (Section 6.1), and the
 label-driven collapsing/combining of Sections 3.2 and 5.2.
 """
 
 from .flowgraph import INF, Edge, EdgeLabel, FlowGraph
-from .maxflow import (ResidualNetwork, WarmStart, dinic_max_flow,
-                      max_flow_value)
-from .edmonds_karp import edmonds_karp_max_flow
-from .push_relabel import push_relabel_max_flow
+from .maxflow import ResidualNetwork, WarmStart, dinic_max_flow
 from .mincut import CutEdge, MinCut, min_cut, min_cut_from_residual
 from .collapse import (CollapseStats, OnlineCollapser, collapse_graph,
                        collapse_graph_online, collapse_graphs, combine_runs,
@@ -26,8 +23,7 @@ from .serialize import (dump_graph, dump_graph_binary, dumps_graph,
 
 __all__ = [
     "INF", "Edge", "EdgeLabel", "FlowGraph",
-    "ResidualNetwork", "WarmStart", "dinic_max_flow", "max_flow_value",
-    "edmonds_karp_max_flow", "push_relabel_max_flow",
+    "ResidualNetwork", "WarmStart", "dinic_max_flow",
     "CutEdge", "MinCut", "min_cut", "min_cut_from_residual",
     "CollapseStats", "OnlineCollapser", "collapse_graph",
     "collapse_graph_online", "collapse_graphs", "combine_runs",

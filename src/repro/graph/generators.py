@@ -1,10 +1,10 @@
-"""Synthetic flow-graph generators for tests and ablation benchmarks.
+"""Synthetic flow-graph generators for tests and benchmarks.
 
-The max-flow ablation (Dinic vs. Edmonds-Karp vs. push-relabel) and the
-property-based tests need families of graphs with known structure:
-layered DAGs resembling collapsed trace graphs, recursive two-terminal
-series-parallel graphs (whose max flow the reduction of Section 5.1
-computes exactly), and grids.
+The brute-force max-flow oracle and the property-based tests need
+families of graphs with known structure: layered DAGs resembling
+collapsed trace graphs, recursive two-terminal series-parallel graphs
+(whose max flow the reduction of Section 5.1 computes exactly), and
+grids.
 """
 
 from __future__ import annotations

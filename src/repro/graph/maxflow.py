@@ -1,10 +1,9 @@
 """Maximum-flow computation (Section 5).
 
-The primary algorithm is Dinic's blocking-flow method, which is fast on
-the shallow, layered graphs produced by collapsing execution traces by
-code location.  :class:`ResidualNetwork` is shared with the alternative
-algorithms (:mod:`.edmonds_karp`, :mod:`.push_relabel`) and with min-cut
-extraction (:mod:`.mincut`).
+The solver is Dinic's blocking-flow method, which is fast on the
+shallow, layered graphs produced by collapsing execution traces by code
+location.  Its saturated :class:`ResidualNetwork` is what min-cut
+extraction (:mod:`.mincut`) reads the canonical cut from.
 
 All capacities are integers, so the computed flows are exact.
 """
@@ -23,8 +22,8 @@ class ResidualNetwork:
     """Forward-star residual representation of a :class:`FlowGraph`.
 
     Each original edge ``i`` becomes residual arc ``2*i`` and its reverse
-    arc ``2*i + 1``; the pairing lets algorithms find an arc's partner as
-    ``arc ^ 1``.  After a max-flow run, ``flow_on(i)`` reports the flow
+    arc ``2*i + 1``; the pairing lets the solver find an arc's partner
+    as ``arc ^ 1``.  After a max-flow run, ``flow_on(i)`` reports the flow
     routed over original edge ``i``.
     """
 
@@ -66,8 +65,10 @@ class ResidualNetwork:
         """Nodes reachable from the source along positive-residual arcs.
 
         This is the S side of the canonical minimum cut (Section 6.1's
-        depth-first search over excess capacity); meaningful after a
-        max-flow algorithm has saturated the network.
+        depth-first search over excess capacity): the inclusion-minimal
+        source side among all minimum cuts, hence the same for every
+        maximum flow.  Meaningful after :func:`dinic_max_flow` has
+        saturated the network.
         """
         seen = [False] * self.num_nodes
         seen[self.source] = True
@@ -330,9 +331,3 @@ def dinic_max_flow(graph, warm_start=None, backend=None):
         for length in path_lengths:
             metrics.observe("maxflow.dinic.path_length", length)
     return total, net
-
-
-def max_flow_value(graph):
-    """Convenience wrapper returning only the max-flow value."""
-    value, _ = dinic_max_flow(graph)
-    return value

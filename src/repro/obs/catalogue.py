@@ -132,9 +132,9 @@ def _specs():
          "online trace"),
         (g, "collapse.online.nodes_peak", "nodes", "experimental",
          "largest live node count seen across online traces"),
-        # Max-flow solvers.
+        # Max-flow solver (repro.graph.maxflow.dinic_max_flow).
         (c, "maxflow.solves", "calls", "stable",
-         "solver invocations (any algorithm)"),
+         "Dinic max-flow solves"),
         (c, "maxflow.dinic.bfs_phases", "phases", "stable",
          "Dinic level-graph (BFS) phases"),
         (c, "maxflow.dinic.augmenting_paths", "paths", "stable",
@@ -142,12 +142,6 @@ def _specs():
         (HISTOGRAM, "maxflow.dinic.path_length", "edges", "experimental",
          "distribution of Dinic augmenting-path lengths (arcs per path), "
          "power-of-two buckets"),
-        (c, "maxflow.edmonds_karp.augmenting_paths", "paths", "stable",
-         "Edmonds-Karp shortest augmenting paths"),
-        (c, "maxflow.push_relabel.pushes", "events", "stable",
-         "push-relabel push operations"),
-        (c, "maxflow.push_relabel.relabels", "events", "stable",
-         "push-relabel relabel operations"),
         # Warm-start incremental max-flow (dinic_max_flow(warm_start=...)).
         (c, "maxflow.warm_start.hits", "calls", "experimental",
          "solves that successfully reused a prior residual network"),

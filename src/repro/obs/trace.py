@@ -73,10 +73,6 @@ def _span_specs():
          "materializing an online-collapsed trace into its final graph"),
         ("solve.dinic", "experimental",
          "one Dinic max-flow solve"),
-        ("solve.edmonds_karp", "experimental",
-         "one Edmonds-Karp max-flow solve"),
-        ("solve.push_relabel", "experimental",
-         "one FIFO push-relabel max-flow solve"),
         ("mincut.extract", "experimental",
          "extracting the canonical minimum cut from a saturated residual"),
         ("batch.map", "experimental",

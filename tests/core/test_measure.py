@@ -7,8 +7,6 @@ from repro.core.measure import COLLAPSE_MODES
 from repro.core.policy import CutPolicy
 from repro.core.report import FlowReport
 from repro.core.tracker import TraceBuilder
-from repro.graph.edmonds_karp import edmonds_karp_max_flow
-from repro.graph.push_relabel import push_relabel_max_flow
 
 from .helpers import count_punct_events, fanout_events, loc
 
@@ -42,11 +40,6 @@ class TestMeasureGraph:
         report = measure_graph(g, stats=stats)
         assert report.secret_input_bits == stats["secret_input_bits"]
         assert report.tainted_output_bits == stats["tainted_output_bits"]
-
-    def test_alternative_solvers(self):
-        g, _ = sample_graph_and_stats()
-        for solver in (edmonds_karp_max_flow, push_relabel_max_flow):
-            assert measure_graph(g, collapse="none", solver=solver).bits == 9
 
     def test_warnings_carried(self):
         g, _ = sample_graph_and_stats()

@@ -1,17 +1,54 @@
-"""Tests for the three max-flow algorithms, alone and against each other."""
+"""Tests for Dinic's max-flow solver, pinned against a brute-force
+min-cut oracle.
+
+The oracle enumerates every s-t node split of a small graph, so it
+shares no code with the solver -- not even :class:`ResidualNetwork` --
+and checks the cut Section 6 consumes as well as the flow value.
+"""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.errors import GraphError
-from repro.graph.edmonds_karp import edmonds_karp_max_flow
-from repro.graph.flowgraph import INF, FlowGraph
+from repro.graph.flowgraph import INF, EdgeLabel, FlowGraph
 from repro.graph.generators import (grid_graph, layered_dag, random_dag,
                                     series_parallel)
-from repro.graph.maxflow import dinic_max_flow, max_flow_value
-from repro.graph.push_relabel import push_relabel_max_flow
+from repro.graph.maxflow import WarmStart, dinic_max_flow
 
-ALGORITHMS = [dinic_max_flow, edmonds_karp_max_flow, push_relabel_max_flow]
+from .test_warm_start import SOLVER_BACKENDS
+
+
+def brute_min_cut(g):
+    """Min s-t cut of ``g`` by enumerating every node split.
+
+    Returns ``(capacity, source_side)``: the least cut capacity, clamped
+    at ``INF``, and the intersection of every minimum cut's source side
+    as a per-node bool list.  That intersection is itself a minimum cut
+    -- the inclusion-minimal one -- and is what residual reachability
+    (``ResidualNetwork.source_side()``) must return after any max flow.
+    """
+    s, t = g.source, g.sink
+    interior = [v for v in range(g.num_nodes) if v not in (s, t)]
+    best = canonical = None
+    for mask in range(1 << len(interior)):
+        side = [False] * g.num_nodes
+        side[s] = True
+        for bit, v in enumerate(interior):
+            side[v] = bool(mask >> bit & 1)
+        cap = min(INF, sum(e.capacity for e in g.edges
+                           if side[e.tail] and not side[e.head]))
+        if best is None or cap < best:
+            best, canonical = cap, side
+        elif cap == best:
+            canonical = [a and b for a, b in zip(canonical, side)]
+    return best, canonical
+
+
+#: The known answers pin the oracle as well as the solver.
+ALGORITHMS = [dinic_max_flow, brute_min_cut]
 
 
 def diamond():
@@ -114,36 +151,71 @@ class TestResidualAccounting:
         with pytest.raises(GraphError):
             dinic_max_flow(bad)
 
-    def test_max_flow_value_helper(self):
-        g = diamond()
-        assert max_flow_value(g) == 2000
+
+def assert_matches_oracle(g, warm_starts=None):
+    """Dinic's value and canonical source side equal the oracle's under
+    every backend (the oracle, the expensive half, runs once)."""
+    expected = brute_min_cut(g)
+    for backend in SOLVER_BACKENDS:
+        warm = warm_starts[backend] if warm_starts else None
+        value, net = dinic_max_flow(g, warm_start=warm, backend=backend)
+        assert (value, net.source_side()) == expected, backend
+
+
+def grown_pair(g, seed):
+    """Two uniquely labelled copies of ``g``: as is, and grown out of it
+    -- every capacity raised, about 10% of interior edges made ``INF``."""
+    rng = random.Random(seed)
+    small, big = FlowGraph(), FlowGraph()
+    small.add_nodes(g.num_nodes - 2)
+    big.add_nodes(g.num_nodes - 2)
+    ends = (g.source, g.sink)
+    for i, e in enumerate(g.edges):
+        label = EdgeLabel(i)
+        small.add_edge(e.tail, e.head, e.capacity, label)
+        interior = e.tail not in ends and e.head not in ends
+        cap = INF if interior and rng.random() < 0.1 \
+            else e.capacity + rng.randint(0, 16)
+        big.add_edge(e.tail, e.head, cap, label)
+    return small, big
 
 
 class TestCrossValidation:
+    """Dinic against :func:`brute_min_cut`, under every solver backend."""
+
     @pytest.mark.parametrize("seed", range(12))
     def test_random_dags_agree(self, seed):
-        g = random_dag(15, 40, seed=seed)
-        results = {algo.__name__: algo(g)[0] for algo in ALGORITHMS}
-        assert len(set(results.values())) == 1, results
+        assert_matches_oracle(random_dag(10, 30, seed=seed))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_grids_agree(self, seed):
-        g = grid_graph(5, 5, seed=seed)
-        results = {algo.__name__: algo(g)[0] for algo in ALGORITHMS}
-        assert len(set(results.values())) == 1, results
+        assert_matches_oracle(grid_graph(3, 3, seed=seed))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_series_parallel_known_flow(self, seed):
         g, expected = series_parallel(6, seed=seed)
-        for algo in ALGORITHMS:
-            assert algo(g)[0] == expected
+        for backend in SOLVER_BACKENDS:
+            assert dinic_max_flow(g, backend=backend)[0] == expected
 
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 10**6), nodes=st.integers(1, 12),
-           edges=st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), nodes=st.integers(1, 10),
+           edges=st.integers(0, 30))
     def test_fuzz_agreement(self, seed, nodes, edges):
-        g = random_dag(nodes, edges, seed=seed)
-        d = dinic_max_flow(g)[0]
-        e = edmonds_karp_max_flow(g)[0]
-        p = push_relabel_max_flow(g)[0]
-        assert d == e == p
+        assert_matches_oracle(random_dag(nodes, edges, seed=seed))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), nodes=st.integers(1, 10),
+           edges=st.integers(0, 30))
+    def test_warm_start_agrees(self, seed, nodes, edges):
+        small, big = grown_pair(random_dag(nodes, edges, seed=seed), seed)
+        warm_starts = {}
+        for backend in SOLVER_BACKENDS:
+            _, net = dinic_max_flow(small, backend=backend)
+            warm_starts[backend] = WarmStart(small, net)
+        obs.enable()
+        try:
+            assert_matches_oracle(big, warm_starts)
+            hits = obs.get_metrics().snapshot()["maxflow.warm_start.hits"]
+        finally:
+            obs.disable()
+        assert hits == len(SOLVER_BACKENDS)

@@ -2,10 +2,11 @@
 
 The warm-start contract (``docs/backends.md``): seeding a solve from a
 prior residual changes how much augmentation work remains, never the
-computed bound.  The max-flow *value* is unique, so warm and cold
-solves must agree exactly; the minimum *cut* may be placed differently
-only when several cuts tie at the optimal capacity (any of them is a
-sound §3 policy).  These suites verify value identity, streaming ≡
+computed bound.  The max-flow *value* is unique, and so is the
+residual-reachable source side -- the inclusion-minimal minimum cut,
+whichever maximum flow the solve ends on -- so warm and cold solves
+must agree exactly on both, even when several cuts tie at the optimal
+capacity.  These suites verify value and cut identity, streaming ≡
 one-shot graph identity, and that infeasible carry-overs degrade to a
 cold solve instead of a wrong answer.
 """
@@ -134,7 +135,7 @@ class TestWarmStartSolve:
                                                   backend=backend)
             cold_value, cold_net = dinic_max_flow(combined)
             assert warm_value == cold_value
-            # Any minimum cut has the same capacity as the flow value.
+            assert warm_net.source_side() == cold_net.source_side()
             warm_cut = min_cut_from_residual(combined, warm_net)
             cold_cut = min_cut_from_residual(combined, cold_net)
             assert warm_cut.capacity == cold_cut.capacity == warm_value

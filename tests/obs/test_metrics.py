@@ -8,10 +8,8 @@ from repro import obs
 from repro.core.locations import Location
 from repro.core.measure import measure_graph
 from repro.core.tracker import TraceBuilder
-from repro.graph.edmonds_karp import edmonds_karp_max_flow
 from repro.graph.flowgraph import FlowGraph
 from repro.graph.maxflow import dinic_max_flow
-from repro.graph.push_relabel import push_relabel_max_flow
 from repro.lang import measure
 from repro.obs.catalogue import CATALOGUE, snapshot_keys
 from repro.obs.metrics import histogram_bucket
@@ -154,24 +152,8 @@ class TestSolverWiring:
         assert snap["maxflow.dinic.augmenting_paths"] >= 2
         assert snap["phase.solve.calls"] == 1
 
-    def test_edmonds_karp_counters(self, metrics):
-        value, _ = edmonds_karp_max_flow(diamond())
-        snap = metrics.snapshot()
-        assert value == 4
-        assert snap["maxflow.edmonds_karp.augmenting_paths"] >= 2
-        assert snap["maxflow.solves"] == 1
-
-    def test_push_relabel_counters(self, metrics):
-        value, _ = push_relabel_max_flow(diamond())
-        snap = metrics.snapshot()
-        assert value == 4
-        assert snap["maxflow.push_relabel.pushes"] >= 2
-        assert snap["maxflow.solves"] == 1
-
     def test_solver_results_unchanged_when_disabled(self):
         assert dinic_max_flow(diamond())[0] == 4
-        assert edmonds_karp_max_flow(diamond())[0] == 4
-        assert push_relabel_max_flow(diamond())[0] == 4
 
 
 class TestPipelineWiring:

@@ -7,7 +7,7 @@ section headers that name a module in backticks, e.g.::
 
     | name | purpose |
     |---|---|
-    | `dinic_max_flow / edmonds_karp_max_flow` | ... |
+    | `min_cut / min_cut_from_residual` | ... |
 
 This test parses those tables and resolves every listed name (splitting
 ``a / b`` alternatives, dropping call signatures, following dotted

@@ -1,5 +1,6 @@
 """Layering guard: the graph and core layers do not depend on batch,
-store, or serve, and only the kernel slots reach the compiled kernels.
+store, or serve, only the kernel slots reach the compiled kernels, and
+Dinic is the one max-flow solver.
 
 ``repro.graph`` and ``repro.core`` sit below the batch engine, the
 shard store, and the measurement service.  The only way up is one lazy
@@ -10,11 +11,13 @@ the upper ones.
 """
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
 
 import repro
+from repro.core.measure import measure_graph, measure_runs
 
 UPPER = ("repro.batch", "repro.store", "repro.serve")
 
@@ -130,3 +133,23 @@ def test_session_has_no_native_method_set():
     assert [node.name for node in session.body
             if isinstance(node, ast.FunctionDef)
             and node.name.endswith("_native")] == []
+
+
+def test_dinic_is_the_one_max_flow_solver():
+    solvers, residual_builders = set(), set()
+    for rel, tree in _package_sources():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name.endswith("_max_flow")):
+                solvers.add(node.name)
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute)
+                        else None)
+                if name == "ResidualNetwork":
+                    residual_builders.add(rel)
+    assert solvers == {"dinic_max_flow"}
+    assert residual_builders == {"graph/maxflow.py"}
+    for entry in (measure_graph, measure_runs):
+        assert "solver" not in inspect.signature(entry).parameters
