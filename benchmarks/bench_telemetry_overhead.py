@@ -16,23 +16,19 @@ medians of ``phase.trace.seconds``.
 
 Two ways to run it:
 
-* standalone — ``python benchmarks/bench_telemetry_overhead.py
-  [--json FILE]`` prints the table and, with ``--json``, writes a
-  ``run_all``-shaped record (one benchmark named
-  ``telemetry_overhead`` whose ``extra.overhead_fraction`` is the
-  relative cost of telemetry).  The committed ``BENCH_5.json`` is one
-  of these; ``benchmarks/check_regression.py`` pins the fraction at
-  ``TELEMETRY_OVERHEAD_LIMIT``.
+* standalone — ``python benchmarks/bench_telemetry_overhead.py``
+  prints the table and exits 1 when telemetry costs more than
+  :data:`TELEMETRY_OVERHEAD_LIMIT` of trace time.  ``BENCH_5.json``
+  records one such run.  Being a ratio of two interleaved runs on the
+  same machine, the fraction is robust to machine-speed noise, but it
+  is still a timing: no test or CI job gates on it.
 * ``pytest benchmarks/bench_telemetry_overhead.py`` — a smoke run at
   reduced size asserting the exporter flushed and stayed lint-clean.
 """
 
-import argparse
-import json
 import shutil
 import sys
 import tempfile
-import time
 
 sys.path.insert(0, ".")  # allow running from the repo root
 
@@ -48,6 +44,9 @@ REPS = 3
 #: is ~25ms — it would finish between flushes and measure nothing).
 INNER = 40
 INTERVAL = 1.0
+#: Ceiling on the overhead fraction: continuous export may cost at most
+#: 5% of trace time.
+TELEMETRY_OVERHEAD_LIMIT = 0.05
 
 
 def _trace_seconds(data, telemetry_dir=None, interval=INTERVAL,
@@ -92,13 +91,13 @@ def _trace_seconds(data, telemetry_dir=None, interval=INTERVAL,
 
 def measure_overhead(input_bytes=INPUT_BYTES, reps=REPS,
                      interval=INTERVAL, inner=INNER):
-    """Interleaved off/on runs; returns the benchmark record dict."""
+    """Interleaved off/on runs; returns the medians, the overhead
+    fraction, and the last "on" window's metrics."""
     data = workload_of_size(input_bytes)
     off_times = []
     on_times = []
     metrics = None
     scratch = tempfile.mkdtemp(prefix="repro-telemetry-bench-")
-    t0 = time.perf_counter()
     try:
         for rep in range(reps):
             seconds, _ = _trace_seconds(data, inner=inner)
@@ -113,66 +112,49 @@ def measure_overhead(input_bytes=INPUT_BYTES, reps=REPS,
                                      "%s" % problems)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    wall = time.perf_counter() - t0
     off_times.sort()
     on_times.sort()
     off_median = off_times[reps // 2]
     on_median = on_times[reps // 2]
     overhead = on_median / off_median - 1.0
     return {
-        "name": "telemetry_overhead",
-        "wall_seconds": wall,
+        "input_bytes": input_bytes,
+        "reps": reps,
+        "interval_seconds": interval,
+        "off_trace_seconds": off_median,
+        "on_trace_seconds": on_median,
+        "overhead_fraction": overhead,
         "metrics": metrics,
-        "extra": {
-            "input_bytes": input_bytes,
-            "reps": reps,
-            "inner_runs": inner,
-            "interval_seconds": interval,
-            "off_trace_seconds": off_median,
-            "on_trace_seconds": on_median,
-            "overhead_fraction": overhead,
-        },
     }
 
 
 def print_record(record):
-    extra = record["extra"]
     print("telemetry overhead (compressor %d bytes, %d interleaved reps, "
           "%.0fs flush interval)"
-          % (extra["input_bytes"], extra["reps"],
-             extra["interval_seconds"]))
+          % (record["input_bytes"], record["reps"],
+             record["interval_seconds"]))
     print("%12s %14s" % ("telemetry", "trace(s)"))
-    print("%12s %14.4f" % ("off", extra["off_trace_seconds"]))
-    print("%12s %14.4f" % ("on", extra["on_trace_seconds"]))
-    print("overhead: %.2f%%" % (100 * extra["overhead_fraction"]))
+    print("%12s %14.4f" % ("off", record["off_trace_seconds"]))
+    print("%12s %14.4f" % ("on", record["on_trace_seconds"]))
+    print("overhead: %.2f%%" % (100 * record["overhead_fraction"]))
 
 
 def test_telemetry_overhead_smoke():
     """Reduced-size smoke: telemetry on works and lints clean."""
     record = measure_overhead(input_bytes=256, reps=1, interval=0.2,
                               inner=4)
-    extra = record["extra"]
-    assert extra["on_trace_seconds"] > 0
+    assert record["on_trace_seconds"] > 0
     assert record["metrics"]["obs.export.flushes"] >= 1
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--json", metavar="FILE",
-                    help="also write the run_all-shaped record there")
-    args = ap.parse_args(argv)
+def main():
     record = measure_overhead()
     print_record(record)
-    if args.json:
-        payload = {
-            "generated_by": "benchmarks/bench_telemetry_overhead.py",
-            "benchmarks": [record],
-            "metrics": record["metrics"],
-        }
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print("record written to %s" % args.json)
+    overhead = record["overhead_fraction"]
+    if overhead > TELEMETRY_OVERHEAD_LIMIT:
+        print("FAIL: telemetry overhead %.2f%% exceeds the %.0f%% ceiling"
+              % (100 * overhead, 100 * TELEMETRY_OVERHEAD_LIMIT))
+        return 1
     return 0
 
 

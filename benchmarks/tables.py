@@ -6,8 +6,8 @@ formatted strings, and returns the raw data alongside so the benchmark
 assertions (and EXPERIMENTS.md) can check the reproduced shape.
 
 The benchmarks call these under ``pytest-benchmark`` for timing and
-print the rendered tables; ``python benchmarks/run_all.py`` prints
-everything standalone.
+print the rendered tables; ``pytest benchmarks/ --benchmark-disable
+-s`` prints them without timing.
 """
 
 from __future__ import annotations

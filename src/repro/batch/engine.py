@@ -23,8 +23,7 @@ Design rules that make ``jobs=N`` bit-identical to ``jobs=1``:
   distributed over workers.
 
 ``ProcessPoolExecutor`` is used rather than ``multiprocessing.Pool``
-deliberately: its workers are non-daemonic, so a job may itself fan out
-(the benchmark driver runs batch benchmarks inside its own pool).
+deliberately: its workers are non-daemonic, so a job may itself fan out.
 
 Fault tolerance
 ---------------
@@ -43,7 +42,10 @@ secret, a worker hangs, the pool dies.  The engine dispatches with
   ``BrokenProcessPool``, a pickling transport error — are retried with
   exponential backoff, up to ``retries`` times per job.  The pool is
   torn down and resurrected; a job that keeps striking is quarantined
-  (recorded as a :class:`JobFailure` instead of looping forever).
+  (recorded as a :class:`JobFailure` instead of looping forever).  A
+  broken pool does not say which job killed it, so when several jobs
+  shared it they are re-run one at a time before fan-out resumes: only
+  a job that breaks a pool on its own takes a strike.
 * ``on_error="raise"`` (the default) re-raises the first failure's
   original exception, preserving the pre-fault-tolerance behavior;
   ``on_error="collect"`` returns the failure records in the result
@@ -530,6 +532,7 @@ class BatchEngine:
         attempts = [0] * count
         strikes = [0] * count
         pending = collections.deque(range(count))
+        suspects = collections.deque()  # re-run alone after a break
         pool = None
         futures = {}            # future -> payload index
         deadlines = {}          # future -> monotonic deadline or None
@@ -566,15 +569,18 @@ class BatchEngine:
             if on_outcome is not None:
                 on_outcome(index, value)
 
-        def strike(index, error, seconds=None):
+        def retry(index, error, queue):
+            stats.retries += 1
+            event_log.event("batch.retry", index=index,
+                            strikes=strikes[index],
+                            error_type=type(error).__name__)
+            queue.append(index)
+
+        def strike(index, error, seconds=None, queue=pending):
             """One transient strike; retry or quarantine the job."""
             strikes[index] += 1
             if strikes[index] <= faults.retries:
-                stats.retries += 1
-                event_log.event("batch.retry", index=index,
-                                strikes=strikes[index],
-                                error_type=type(error).__name__)
-                pending.append(index)
+                retry(index, error, queue)
                 return strikes[index]
             stats.quarantined += 1
             event_log.event("batch.quarantine", index=index,
@@ -603,11 +609,12 @@ class BatchEngine:
                 time.sleep(faults.backoff * (2 ** (backoff_strike - 1)))
 
         try:
-            while pending or futures:
-                if stop is not None and pending and stop():
+            while pending or suspects or futures:
+                if stop is not None and (pending or suspects) and stop():
                     # Drain: drop unlaunched payloads (their slots stay
                     # PENDING); in-flight jobs finish normally.
                     pending.clear()
+                    suspects.clear()
                     if not futures:
                         break
                 if pool is None:
@@ -615,9 +622,13 @@ class BatchEngine:
                 # Keep at most ``workers`` jobs in flight, so a
                 # submitted job starts (nearly) immediately and its
                 # wall-clock deadline measures *running* time, not
-                # queueing time.
-                while pending and len(futures) < workers:
-                    index = pending.popleft()
+                # queueing time.  A suspect runs with nothing beside it.
+                while (pending or suspects) and len(futures) < workers:
+                    alone = bool(suspects)
+                    if alone and futures:
+                        break
+                    queue = suspects if alone else pending
+                    index = queue.popleft()
                     attempts[index] += 1
                     try:
                         future = pool.submit(
@@ -631,7 +642,7 @@ class BatchEngine:
                         # any) surface the breakage below, otherwise
                         # resurrect right away.
                         attempts[index] -= 1
-                        pending.appendleft(index)
+                        queue.appendleft(index)
                         if not futures:
                             _terminate_pool(pool)
                             pool = None
@@ -643,6 +654,8 @@ class BatchEngine:
                     deadlines[future] = (
                         time.monotonic() + faults.timeout
                         if faults.timeout is not None else None)
+                    if alone:
+                        break
                 if not futures:
                     continue
                 timeout = None
@@ -657,6 +670,7 @@ class BatchEngine:
                            if deadline is not None and now >= deadline
                            and not future.done()]
                 broken = None
+                crashed = []
                 for future in done:
                     index = futures.pop(future)
                     deadlines.pop(future)
@@ -667,7 +681,7 @@ class BatchEngine:
                         # The whole pool is dead; every sibling future
                         # breaks too.  Handled below in one sweep.
                         broken = error
-                        strike(index, error)
+                        crashed.append(index)
                     except Exception as error:
                         # Pickling/transport failure between parent and
                         # worker: transient per policy.
@@ -677,19 +691,27 @@ class BatchEngine:
                                rsample, wall)
                 if broken is not None:
                     # Every job still in flight was a (potential)
-                    # offender: tear the dead pool down, strike them
-                    # all, resurrect, and let the retry budget decide.
-                    # (Teardown comes first so a strike that raises in
-                    # "raise" mode never leaves the finally clause
-                    # waiting on a dead pool.)
-                    in_flight = sorted(futures.values())
+                    # offender.  Tear the dead pool down first, so a
+                    # strike that raises in "raise" mode never leaves
+                    # the finally clause waiting on a dead pool.
+                    in_flight = sorted(crashed + list(futures.values()))
                     futures.clear()
                     deadlines.clear()
                     _terminate_pool(pool)
                     pool = None
                     worst = 0
-                    for index in in_flight:
-                        worst = max(worst, strike(index, broken))
+                    if len(in_flight) > 1 and faults.retries:
+                        # Bystanders cannot be told from the offender:
+                        # re-run each alone, without a strike.
+                        for index in in_flight:
+                            retry(index, broken, suspects)
+                    else:
+                        # A job that broke the pool on its own (or no
+                        # retry budget to find out) is struck; a retry
+                        # runs alone again.
+                        for index in in_flight:
+                            worst = max(worst, strike(index, broken,
+                                                      queue=suspects))
                     resurrect(worst)
                     continue
                 if expired:

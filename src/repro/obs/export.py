@@ -313,9 +313,9 @@ def lint_openmetrics(text):
 class _Ledger:
     """Keeps published counters monotone across registry resets.
 
-    ``repro bench run_all`` (and anything else calling
-    ``obs.enable()`` repeatedly) resets the live registry between
-    benchmarks, so raw counter values can *drop*.  A Prometheus
+    A process that calls ``obs.enable()`` again while an exporter runs
+    (to give each of several measurements a fresh registry window)
+    resets the live registry, so raw counter values can *drop*.  A Prometheus
     counter must never do that, and neither may ``metrics.jsonl`` if
     ``repro obs check`` is to assert monotonicity.  The ledger
     remembers, per counter/timer/bucket, the last raw reading and the

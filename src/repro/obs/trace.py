@@ -51,8 +51,6 @@ def _span_specs():
     return [
         ("cli.command", "experimental",
          "one repro CLI subcommand invocation, end to end"),
-        ("bench.run", "experimental",
-         "one benchmark of the run_all.py harness"),
         ("lang.measure", "experimental",
          "one repro.lang.measure() call (compile excluded, trace through "
          "report)"),

@@ -62,6 +62,15 @@ def exit_on_zero(x):
     return x * x
 
 
+def exit_on_zero_else_nap(x):
+    """Like :func:`exit_on_zero`, but a good payload naps first, so it
+    is still in flight when the killer's worker dies."""
+    if x == 0:
+        os._exit(13)
+    time.sleep(0.2)
+    return x * x
+
+
 def sleep_for(seconds):
     time.sleep(seconds)
     return seconds
@@ -287,6 +296,21 @@ class TestPoolResurrection:
         assert isinstance(outcomes[1], JobFailure)
         assert outcomes[1].transient
         assert outcomes[1].quarantined
+
+    def test_bystander_of_a_pool_killer_is_never_struck(self, metrics):
+        """The killer and a napping good job always share the first
+        pool.  The good job re-runs alone and survives; only the killer,
+        breaking pools on its own, spends its retries and is
+        quarantined."""
+        engine = BatchEngine(2, faults=FaultPolicy(
+            retries=2, backoff=0, on_error="collect"))
+        outcomes = engine.map(exit_on_zero_else_nap, [0, 4])
+        assert outcomes[1] == 16
+        assert isinstance(outcomes[0], JobFailure)
+        assert outcomes[0].transient and outcomes[0].quarantined
+        snap = metrics.snapshot()
+        assert snap["batch.quarantined"] == 1
+        assert snap["batch.failures"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,8 @@ import random
 
 import pytest
 
+from repro.apps.bzip2 import measure_compression_flow
+from repro.apps.pi import workload_of_size
 from repro.core.tracker import CollapsingTraceBuilder, TraceBuilder
 from repro.graph.serialize import dump_graph
 from repro.lang import measure as lang_measure
@@ -230,19 +232,30 @@ def drive_session(backend, seed, tracker_mode):
             dict(session.tracker.stats))
 
 
+def drive_compressor(backend, size, tracker_mode):
+    """The Figure 3 compressor on ``size`` bytes, collapsed online."""
+    result = measure_compression_flow(workload_of_size(size), online=True,
+                                      backend=backend)
+    return (result.flow_bits, graph_text(result.report.graph),
+            cut_fingerprint(result.report.mincut))
+
+
 class TestSessionEquivalence:
     @pytest.mark.parametrize("seed,tracker_mode", [
         (201, "plain"), (202, "plain"),
         (203, "context"), (204, "context"),
         (205, "location"),
+        # The largest Figure 3 input: a real program's operation mix.
+        (4096, "compressor"),
     ])
     def test_session_bit_identical(self, seed, tracker_mode):
-        reference = drive_session("reference", seed, tracker_mode)
+        drive = drive_compressor if tracker_mode == "compressor" \
+            else drive_session
+        reference = drive("reference", seed, tracker_mode)
         for backend in available_backends():
             if backend == "reference":
                 continue
-            assert drive_session(backend, seed, tracker_mode) == \
-                reference, backend
+            assert drive(backend, seed, tracker_mode) == reference, backend
 
     def test_session_records_backend(self):
         assert Session(backend="fast").backend == "fast"

@@ -4,18 +4,23 @@ The randomized cross-backend matrix lives in
 ``test_backend_equivalence.py``; this file pins down the C-specific
 edges the matrix may not hit: wide-integer punts and the session's
 accounting of them, the ABI staleness gate, and the Dinic kernel's
-residual/counter identity (including the int64-overflow fallback).
+residual/counter identity (including the int64-overflow fallback), and
+the native-vs-fast solve pins recorded in ``BENCH_4.json``.
 Everything here skips cleanly when the extension is not built.
 """
 
 import io
 import random
+import time
 
 import pytest
 
 from repro import obs
+from repro.apps.bzip2.compressor import compress
+from repro.apps.pi import workload_of_size
 from repro.core.locations import Location
 from repro.graph.flowgraph import INF, EdgeLabel, FlowGraph
+from repro.graph.generators import grid_graph
 from repro.graph.maxflow import dinic_max_flow
 from repro.graph.serialize import dump_graph
 from repro.pytrace import Session
@@ -230,3 +235,49 @@ class TestDinicKernel:
         value, _ = dinic_max_flow(graph, backend="native")
         ref, _ = dinic_max_flow(graph, backend="reference")
         assert value == ref == INF
+
+
+@pytest.fixture(scope="class")
+def native_vs_fast():
+    """``BENCH_4.json``'s ``sec53_native_vs_fast``: three fast and three
+    native solves each of the raw 4096-byte Figure 3 trace graph
+    (shallow and wide) and of an adversarial grid, where the
+    blocking-flow loop dominates.  Returns the metrics of the window
+    and the fast/native median-time ratio per workload."""
+    session = Session()
+    data = session.secret_bytes(workload_of_size(4096))
+    session.output_bytes(compress(data, session=session))
+    workloads = {"trace4096": session.finish(),
+                 "grid100": grid_graph(100, 100, seed=5)}
+    speedups = {}
+    obs.enable()
+    try:
+        for name, graph in workloads.items():
+            medians = {}
+            solved = {}
+            for backend in ("fast", "native"):
+                times = []
+                for _ in range(3):
+                    t0 = time.perf_counter()
+                    value, net = dinic_max_flow(graph, backend=backend)
+                    times.append(time.perf_counter() - t0)
+                medians[backend] = sorted(times)[1]
+                solved[backend] = (value, net.cap, net.source_side())
+            assert solved["native"] == solved["fast"], name
+            speedups[name] = medians["fast"] / medians["native"]
+        snap = obs.get_metrics().snapshot()
+    finally:
+        obs.disable()
+    return snap, speedups
+
+
+class TestNativeVsFastPins:
+    def test_every_native_solve_runs_compiled(self, native_vs_fast):
+        snap, _ = native_vs_fast
+        assert snap["maxflow.native.solves"] == 6
+        assert snap["maxflow.native.fallbacks"] == 0
+
+    def test_grid_at_least_twice_as_fast(self, native_vs_fast):
+        # BENCH_4.json measured 19.2x.
+        _, speedups = native_vs_fast
+        assert speedups["grid100"] >= 2.0, speedups

@@ -24,6 +24,7 @@ _FLAG = re.compile(r"(--[a-z][a-z0-9-]*)")
 #: Flags the docs mention that belong to other tools, not `python -m repro`.
 _FOREIGN = {
     "--benchmark-only",  # pytest-benchmark
+    "--benchmark-disable",  # pytest-benchmark
     "--inplace",         # setuptools build_ext (the native extension)
 }
 
