@@ -1,5 +1,9 @@
 """Tests for code locations and calling-context hashing."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,7 +25,36 @@ class TestLocation:
         assert str(Location("f.c", 3, "then")) == "f.c:3(then)"
 
 
+# Traces countpunct (main calls count_punct, so every labelled edge
+# carries a non-zero context) and prints the collapsed shard's digest.
+SHARD_DIGEST_SCRIPT = """
+from repro.apps.countpunct import FLOWLANG_SOURCE
+from repro.core.tracker import TraceBuilder
+from repro.graph import collapse_graphs
+from repro.graph.serialize import graph_digest
+from repro.lang import compile_cached, execute
+_vm, graph = execute(compile_cached(FLOWLANG_SOURCE), b"..?.",
+                     tracker=TraceBuilder())
+print(graph_digest(collapse_graphs([graph], context_sensitive=True)[0]))
+"""
+
+
 class TestContextHasher:
+    def test_same_shard_in_every_process(self):
+        # Shards traced by different processes must collapse together
+        # (a store grown by two batches, a resumed service job), so no
+        # context may depend on the per-process string-hash salt.
+        digests = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            done = subprocess.run([sys.executable, "-c",
+                                   SHARD_DIGEST_SCRIPT],
+                                  env=env, capture_output=True, text=True,
+                                  check=True, timeout=120)
+            digests.add(done.stdout.strip())
+        assert len(digests) == 1
+
     def test_starts_empty(self):
         ctx = ContextHasher()
         assert ctx.current == 0

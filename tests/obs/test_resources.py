@@ -67,6 +67,11 @@ class TestLiveGraphTracking:
         assert record["graph_edges_live"] == edges
 
     def test_registration_is_weak(self):
+        # Collect first: a builder that an earlier test left in an
+        # unreachable cycle still counts until the collector runs, and
+        # it might run mid-test and shrink the count under the builder
+        # made here.
+        gc.collect()
         before_nodes, _ = live_graph_sizes()
         builder = CollapsingTraceBuilder()
         session = Session(tracker=builder)
