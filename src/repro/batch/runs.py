@@ -267,14 +267,15 @@ def measure_program_runs(source, secret_inputs, public_input=b"",
     outcomes = engine.map(_trace_run_job, payloads)
     metrics = obs.get_metrics()
     t0 = time.perf_counter()
-    shard_store = None if store is None else _open_store(store)
     graphs = []
     stats_list = []
     warnings = []
     bits = []
     failures = []
     shipped_bytes = 0
-    with obs.get_tracer().span("batch.merge", runs=len(outcomes)):
+    with ExitStack() as cleanup, \
+            obs.get_tracer().span("batch.merge", runs=len(outcomes)):
+        shard_store = None if store is None else _open_store(store, cleanup)
         for index, outcome in enumerate(outcomes):
             if isinstance(outcome, JobFailure):
                 failures.append(outcome)
@@ -410,20 +411,21 @@ def _store_combine_chunk_job(payload):
     runs)`` with per-repeat original sizes.
     """
     root, items, context_sensitive = payload
-    store = ShardStore(root, create=False)
-    combined = None
-    for digest, mult, _, _, _ in items:
-        graph = store.get(digest)
-        if combined is None:
-            combined, _ = collapse_graphs(
-                [graph], context_sensitive=context_sensitive,
-                multiplicities=[mult])
-        else:
-            combined, _ = collapse_graphs(
-                [combined, graph], context_sensitive=context_sensitive,
-                multiplicities=[1, mult])
+    with ShardStore(root, create=False) as store:
+        combined = None
+        for digest, mult, _, _, _ in items:
+            graph = store.get(digest)
+            if combined is None:
+                combined, _ = collapse_graphs(
+                    [graph], context_sensitive=context_sensitive,
+                    multiplicities=[mult])
+            else:
+                combined, _ = collapse_graphs(
+                    [combined, graph], context_sensitive=context_sensitive,
+                    multiplicities=[1, mult])
+        digest = store.put_object(combined)
     return {
-        "digest": store.put_object(combined),
+        "digest": digest,
         "source_cap": combined.source_capacity(),
         "sink_cap": combined.sink_capacity(),
         "original_nodes": sum(m * n for _, m, n, _, _ in items),
@@ -498,8 +500,9 @@ def _combine(refs, store, context_sensitive=True, jobs=1, faults=None,
             if parts <= 1:
                 break
             if store is None:
-                store = ShardStore(cleanup.enter_context(
-                    tempfile.TemporaryDirectory(prefix="repro-combine-")))
+                store = _open_store(cleanup.enter_context(
+                    tempfile.TemporaryDirectory(prefix="repro-combine-")),
+                    cleanup)
             items = [(shard if isinstance(shard, str)
                       else store.put_object(shard), *rest)
                      for shard, *rest in items]
@@ -573,10 +576,13 @@ def _combine(refs, store, context_sensitive=True, jobs=1, faults=None,
                               combiner.runs, failures)
 
 
-def _open_store(store):
+def _open_store(store, cleanup, create=True):
     """A :class:`~repro.store.ShardStore` from a store or a directory
-    path (created if missing)."""
-    return store if isinstance(store, ShardStore) else ShardStore(store)
+    path; a store opened here is closed when the ``cleanup``
+    :class:`~contextlib.ExitStack` unwinds."""
+    if isinstance(store, ShardStore):
+        return store
+    return cleanup.enter_context(ShardStore(store, create=create))
 
 
 def _combine_graphs(graphs, context_sensitive, jobs, faults, store,
@@ -592,12 +598,14 @@ def _combine_graphs(graphs, context_sensitive, jobs, faults, store,
         return _combine([(graph, 1) for graph in graphs], None,
                         context_sensitive, jobs, faults,
                         stats_list=stats_list, warnings=warnings)
-    store = _open_store(store)
-    for graph in graphs:
-        store.put(graph)
-    return combine_store_jobs(store, context_sensitive=context_sensitive,
-                              jobs=jobs, faults=faults,
-                              stats_list=stats_list, warnings=warnings)
+    with ExitStack() as cleanup:
+        store = _open_store(store, cleanup)
+        for graph in graphs:
+            store.put(graph)
+        return combine_store_jobs(store,
+                                  context_sensitive=context_sensitive,
+                                  jobs=jobs, faults=faults,
+                                  stats_list=stats_list, warnings=warnings)
 
 
 def combine_graphs_jobs(graphs, context_sensitive=True, jobs=1,
@@ -659,25 +667,25 @@ def combine_store_jobs(store, context_sensitive=True, jobs=1, fanin=None,
     the combined graph and the anytime account; the report comes back
     partial.
     """
-    if not isinstance(store, ShardStore):
-        store = ShardStore(store, create=False)
-    if not len(store):
-        raise ValueError("combine_store_jobs needs a non-empty store "
-                         "(no manifest entries in %s)" % store.root)
-    entries = store.multiplicities()
-    safe_key = ("dedup_safe_context" if context_sensitive
-                else "dedup_safe_location")
-    metas = {digest: store.meta(digest) for digest, _ in entries}
-    if all(metas[digest][safe_key] for digest, _ in entries):
-        refs = entries
-    else:
-        # A shard with unmergeable-only nodes would contribute fresh
-        # classes per repeat; keep the literal order so bit-identity
-        # with the plain fold holds unconditionally.
-        refs = [(digest, 1) for digest in store.order()]
-    return _combine(refs, store, context_sensitive, jobs,
-                    _fault_policy(faults, timeout, retries, on_error),
-                    fanin, warm_start, stats_list, warnings, metas)
+    with ExitStack() as cleanup:
+        store = _open_store(store, cleanup, create=False)
+        if not len(store):
+            raise ValueError("combine_store_jobs needs a non-empty store "
+                             "(no manifest entries in %s)" % store.root)
+        entries = store.multiplicities()
+        safe_key = ("dedup_safe_context" if context_sensitive
+                    else "dedup_safe_location")
+        metas = {digest: store.meta(digest) for digest, _ in entries}
+        if all(metas[digest][safe_key] for digest, _ in entries):
+            refs = entries
+        else:
+            # A shard with unmergeable-only nodes would contribute fresh
+            # classes per repeat; keep the literal order so bit-identity
+            # with the plain fold holds unconditionally.
+            refs = [(digest, 1) for digest in store.order()]
+        return _combine(refs, store, context_sensitive, jobs,
+                        _fault_policy(faults, timeout, retries, on_error),
+                        fanin, warm_start, stats_list, warnings, metas)
 
 
 # ----------------------------------------------------------------------

@@ -299,7 +299,8 @@ def cmd_batch(args):
     corpus = None
     if args.store:
         from .store import ShardStore
-        corpus = ShardStore(args.store, create=False).stats()
+        with ShardStore(args.store, create=False) as store:
+            corpus = store.stats()
     if args.json:
         cut = CutPolicy.from_report(report)
         payload = {
@@ -345,16 +346,16 @@ def cmd_batch(args):
 def cmd_combine(args):
     from .batch.runs import combine_store_jobs
     from .store import ShardStore
-    store = ShardStore(args.store, create=False)
-    if len(store) == 0:
-        print("error: store %s has an empty corpus (no manifest entries)"
-              % args.store, file=sys.stderr)
-        return 2
-    result = combine_store_jobs(
-        store, context_sensitive=(args.collapse == "context"),
-        jobs=args.jobs, fanin=args.fanin, timeout=args.timeout,
-        retries=args.retries, on_error=args.on_error,
-        warm_start=not args.no_warm_start)
+    with ShardStore(args.store, create=False) as store:
+        if len(store) == 0:
+            print("error: store %s has an empty corpus (no manifest "
+                  "entries)" % args.store, file=sys.stderr)
+            return 2
+        result = combine_store_jobs(
+            store, context_sensitive=(args.collapse == "context"),
+            jobs=args.jobs, fanin=args.fanin, timeout=args.timeout,
+            retries=args.retries, on_error=args.on_error,
+            warm_start=not args.no_warm_start)
     report = result.report
     if args.json:
         cut = CutPolicy.from_report(report)
