@@ -44,6 +44,7 @@ from ..graph.maxflow import dinic_max_flow
 from ..graph.mincut import MinCut
 from ..graph.serialize import dump_graph, load_graph
 from ..lang.runner import compile_cached, execute, measure
+from ..lang.vm import check_budgets
 from ..shadow import resolve_backend
 from ..store import ShardStore
 from .engine import BatchEngine, FaultPolicy, JobFailure
@@ -226,8 +227,10 @@ def measure_program_runs(source, secret_inputs, public_input=b"",
     by default, or the tree-reduction merge across the pool when a
     shard ``store`` is given.  ``max_steps``/``deadline_seconds`` bound each
     run inside its worker (a run past its deadline raises ``VMTimeout``
-    — a non-transient job failure); ``timeout``/``retries``/``on_error``
-    configure the engine's :class:`~repro.batch.engine.FaultPolicy`.
+    — a non-transient job failure); a non-positive budget raises
+    ``ValueError`` before any worker starts.  ``timeout``/``retries``/
+    ``on_error`` configure the engine's
+    :class:`~repro.batch.engine.FaultPolicy`.
     Returns a :class:`BatchResult` — partial, with a ``failures`` list,
     when runs failed under ``on_error="collect"``.
 
@@ -257,6 +260,7 @@ def measure_program_runs(source, secret_inputs, public_input=b"",
     backend regardless of per-process environment.
     """
     _check_collapse(collapse)
+    check_budgets(max_steps, deadline_seconds)
     backend = resolve_backend(backend)
     secrets = [bytes(secret) for secret in secret_inputs]
     payloads = [(source, filename, secret, bytes(public_input), collapse,
@@ -814,9 +818,12 @@ def measure_programs(items, collapse="context", jobs=1, entry="main",
     jobs ship back :class:`ProgramResult` summaries, in input order.
     Under ``on_error="collect"``, a failed program's slot holds its
     :class:`~repro.batch.engine.JobFailure` instead (check with
-    ``isinstance``); the other programs' results are unaffected.
+    ``isinstance``); the other programs' results are unaffected.  A
+    non-positive ``max_steps``/``deadline_seconds`` raises
+    ``ValueError`` before any worker starts.
     """
     _check_collapse(collapse)
+    check_budgets(max_steps, deadline_seconds)
     payloads = []
     for item in items:
         if len(item) == 3:

@@ -91,11 +91,26 @@ def _add_backend_flag(parser):
                              "extension; see docs/backends.md)")
 
 
+def _positive(convert):
+    """argparse type: ``convert`` the text, then insist the value is > 0."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not value > 0:
+            raise argparse.ArgumentTypeError(
+                "must be a positive %s, got %r" % (convert.__name__, text))
+        return value
+    return parse
+
+
 def _add_budget_flags(parser):
-    parser.add_argument("--max-steps", dest="max_steps", type=int,
+    parser.add_argument("--max-steps", dest="max_steps",
+                        type=_positive(int),
                         default=None, metavar="N",
                         help="abort a run after N VM steps")
-    parser.add_argument("--deadline", type=float, default=None,
+    parser.add_argument("--deadline", type=_positive(float), default=None,
                         metavar="SECONDS",
                         help="abort a run past this wall-clock budget, "
                              "enforced in the VM step loop (VMTimeout)")

@@ -21,7 +21,7 @@ from ..core.tracker import CollapsingTraceBuilder, TraceBuilder
 from .checker import Checker
 from .compiler import compile_program
 from .parser import parse
-from .vm import VM, NullTracker
+from .vm import VM, NullTracker, check_budgets
 
 
 class RunResult:
@@ -132,8 +132,10 @@ def measure(source_or_compiled, secret_input=b"", public_input=b"",
     tracing* (Section 5.2 online), keeping the live graph
     coverage-sized on long runs; the report is equivalent to the
     post-hoc collapse.  ``max_steps``/``deadline_seconds`` bound the
-    run (steps / wall seconds).  Returns a :class:`RunResult`.
+    run (steps / wall seconds); a budget below 1 step or not above 0
+    seconds raises ``ValueError``.  Returns a :class:`RunResult`.
     """
+    check_budgets(max_steps, deadline_seconds)
     compiled = _ensure_compiled(source_or_compiled, filename)
     tracker = _make_tracker(online, collapse, backend=backend)
     span = obs.get_tracer().span("lang.measure", collapse=collapse,

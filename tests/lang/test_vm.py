@@ -7,8 +7,11 @@ analysis, by running programs on public data and checking outputs.
 
 import pytest
 
+from repro.batch import runs as batch_runs
+from repro.core.tracker import TraceBuilder
 from repro.errors import VMError
 from repro.lang import compile_source, measure
+from repro.lang.vm import VM
 
 
 def run(source, secret=b"", public=b""):
@@ -128,6 +131,45 @@ class TestControlFlow:
         with pytest.raises(VMError) as err:
             measure(compiled, max_steps=10_000)
         assert "budget" in str(err.value)
+
+
+BAD_BUDGETS = [{"max_steps": 0}, {"max_steps": -3},
+               {"deadline_seconds": 0}, {"deadline_seconds": -1.5},
+               {"deadline_seconds": float("nan")}]
+
+
+class TestBudgetValidation:
+    @pytest.mark.parametrize("budget", BAD_BUDGETS)
+    def test_vm_rejects_non_positive_budget(self, budget):
+        compiled = compile_source("fn main() { output(1); }")
+        with pytest.raises(ValueError) as err:
+            VM(compiled, TraceBuilder(), **budget)
+        assert next(iter(budget)) in str(err.value)
+
+    @pytest.mark.parametrize("budget", BAD_BUDGETS)
+    def test_measure_rejects_before_compiling(self, budget):
+        # Not even valid FlowLang: the budget is checked first.
+        with pytest.raises(ValueError):
+            measure("not a program", **budget)
+
+    @pytest.mark.parametrize("budget", BAD_BUDGETS)
+    def test_batch_frontends_reject_before_any_pool(self, budget,
+                                                    monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(batch_runs, "BatchEngine", no_pool)
+        with pytest.raises(ValueError):
+            batch_runs.measure_program_runs("fn main() { }", [b"a", b"b"],
+                                            jobs=2, **budget)
+        with pytest.raises(ValueError):
+            batch_runs.measure_programs([("p", "fn main() { }", b"a")],
+                                        jobs=2, **budget)
+
+    def test_smallest_budgets_are_accepted(self):
+        result = measure("fn main() { }", max_steps=1,
+                         deadline_seconds=1e-9)
+        assert result.vm.steps == 1
 
 
 class TestFunctions:

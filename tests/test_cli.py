@@ -296,6 +296,22 @@ class TestMeasureBudgets:
                      "--deadline", "5", "--max-steps", "100000"]) == 0
         assert "flow bound" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["measure", "batch"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-steps", "0"), ("--max-steps", "-3"), ("--max-steps", "2.5"),
+        ("--deadline", "0"), ("--deadline", "-1"), ("--deadline", "nan")])
+    def test_bad_budget_is_a_usage_error(self, program, capsys, command,
+                                         flag, value):
+        argv = [command, program, "--secret-hex", "ff", flag, value]
+        if command == "batch":
+            argv += ["--jobs", "2"]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument %s: must be a positive" % flag in err
+        assert "Traceback" not in err
+
 
 class TestTraceFlag:
     def test_measure_writes_chrome_trace(self, program, tmp_path, capsys):
