@@ -12,7 +12,9 @@ contract of docs/service.md, asserting at each step:
 5. SIGTERM drains gracefully: exit 0, zero lost acknowledged jobs —
    every job acked before the drain replays with the same terminal
    state after a restart;
-6. the telemetry directory passes ``repro obs check``.
+6. the telemetry directory passes ``repro obs check``;
+7. SIGKILLing a daemon that holds a warm worker pool leaves no worker
+   alive after 5 s.
 
 Usage::
 
@@ -140,6 +142,15 @@ def worker_pids(parent_pid):
         except (OSError, IndexError, ValueError):
             continue
     return pids
+
+
+def is_running(pid):
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        with open("/proc/%d/stat" % pid) as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (OSError, IndexError):
+        return False
 
 
 def check_happy_path(base):
@@ -306,6 +317,30 @@ def check_telemetry(state_dir):
         % len(generations))
 
 
+def check_orphans(state_dir):
+    """A daemon keeps its pool between jobs; killed outright, it must
+    not leave the idle workers behind."""
+    proc, base = start_daemon(state_dir, extra=("--jobs", "2"))
+    try:
+        check_happy_path(base)
+        pids = worker_pids(proc.pid)
+        assert pids, "no warm pool worker after a completed job"
+        proc.kill()
+        proc.wait(timeout=60)
+        deadline = time.monotonic() + 5.0
+        alive = pids
+        while alive and time.monotonic() < deadline:
+            time.sleep(0.05)
+            alive = [pid for pid in alive if is_running(pid)]
+        assert not alive, "workers outlived the killed daemon: %s" % alive
+        log("orphans: %d warm worker(s) exited after the daemon's SIGKILL"
+            % len(pids))
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=60)
+
+
 def main():
     state_dir = sys.argv[1] if len(sys.argv) > 1 else None
     cleanup = state_dir is None
@@ -325,6 +360,7 @@ def main():
         check_worker_kill(base, proc.pid)
         check_drain(state_dir, proc, base)
         check_telemetry(state_dir)
+        check_orphans(os.path.join(state_dir, "orphans"))
     finally:
         if proc.poll() is None:
             proc.kill()

@@ -18,7 +18,7 @@ timeouts, bounded retries of transient pool failures, and the
 from __future__ import annotations
 
 from .engine import (ON_ERROR_MODES, PENDING, BatchEngine, FaultPolicy,
-                     JobFailure)
+                     JobFailure, shutdown_pools)
 from .runs import (BATCH_COLLAPSE_MODES, BatchResult, ProgramResult,
                    StoreCombineResult, combine_graphs_jobs,
                    combine_store_jobs, measure_by_category_jobs,
@@ -26,6 +26,7 @@ from .runs import (BATCH_COLLAPSE_MODES, BatchResult, ProgramResult,
 
 __all__ = [
     "BatchEngine", "FaultPolicy", "JobFailure", "ON_ERROR_MODES", "PENDING",
+    "shutdown_pools",
     "BATCH_COLLAPSE_MODES", "BatchResult", "ProgramResult",
     "StoreCombineResult", "combine_graphs_jobs", "combine_store_jobs",
     "measure_by_category_jobs", "measure_program_runs",

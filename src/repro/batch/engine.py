@@ -25,6 +25,32 @@ Design rules that make ``jobs=N`` bit-identical to ``jobs=1``:
 ``ProcessPoolExecutor`` is used rather than ``multiprocessing.Pool``
 deliberately: its workers are non-daemonic, so a job may itself fan out.
 
+Pool lifetime
+-------------
+
+A pool outlives the map that made it: each process keeps at most one
+idle pool, and a ``jobs=N`` map leases it when its worker count fits,
+so a process that maps many times (the serve daemon, a ``--store``
+batch's tree levels, a sweep over secret domains) forks, imports and
+compiles once.  The contract:
+
+* a lease is exclusive — a map running beside another (in another
+  thread) finds the slot empty and makes its own pool; returning a
+  second pool shuts it down;
+* only a map that ends cleanly (every future resolved, including a
+  drained ``stop()`` map and one under a ``timeout`` policy) gives its
+  pool back; a pool that broke, timed out or was aborted is terminated;
+* an idle pool whose worker died is dropped at the next lease, which
+  starts a fresh one without counting a restart or striking a job;
+* a forked child never sees its parent's pool (the slot is cleared at
+  fork), and a worker exits on its own once its parent is gone;
+* workers keep every file descriptor that was open when they were
+  forked, until the pool retires.  :func:`shutdown_pools` retires the
+  kept pool now; interpreter exit retires it anyway.
+
+Jobs take everything through their payloads (see below), so a worker
+forked several maps ago computes what a fresh one would.
+
 Fault tolerance
 ---------------
 
@@ -63,7 +89,12 @@ from __future__ import annotations
 
 import collections
 import concurrent.futures
+import multiprocessing
+import multiprocessing.connection
+import multiprocessing.util
+import os
 import pickle
+import threading
 import time
 import traceback as _traceback
 from concurrent.futures.process import BrokenProcessPool
@@ -229,9 +260,130 @@ def _transportable(error):
     return error
 
 
+#: Seconds between a pool worker's checks that its parent still lives.
+_PARENT_POLL_SECONDS = 0.25
+
+# The kept idle pool, ``(pool, workers)`` or ``None``; see "Pool
+# lifetime" above.  Only the lease/return helpers touch it, under the
+# lock.
+_kept = None
+_kept_lock = threading.Lock()
+# The pid that registered the exit-time retirement hook.
+_exit_hook_pid = None
+
+
+def _forget_pools():
+    """At-fork hook: a forked child starts with no kept pool."""
+    global _kept, _kept_lock
+    _kept = None
+    _kept_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pools)
+
+
+def _watch_parent(parent_pid):
+    """Pool worker initializer: exit once ``parent_pid`` is gone.
+
+    An idle worker blocks on its call queue forever; without this, a
+    parent killed outright would leave its workers re-parented to init,
+    holding the parent's inherited descriptors (its stdout pipe, say)
+    open.
+    """
+    def watch():
+        while os.getppid() == parent_pid:
+            time.sleep(_PARENT_POLL_SECONDS)
+        os._exit(0)
+
+    threading.Thread(target=watch, name="repro-parent-watch",
+                     daemon=True).start()
+
+
 def _make_pool(workers):
-    """Pool factory (module-level so fault tests can monkeypatch it)."""
-    return concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+    """Pool factory (module-level so fault tests can monkeypatch it).
+
+    Workers are forked, so the pool's owner is each worker's parent,
+    which :func:`_watch_parent` relies on.
+    """
+    return concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_watch_parent, initargs=(os.getpid(),))
+
+
+def _pool_alive(pool):
+    """Whether an idle pool can still take work.
+
+    Checks the workers' exit sentinels as well as the executor's own
+    ``_broken`` flag, which its manager thread sets only some time after
+    a worker dies.
+    """
+    if getattr(pool, "_broken", False):
+        return False
+    processes = getattr(pool, "_processes", None)
+    if not processes:
+        return True
+    # ``list`` snapshots the dict in one step: the pool's manager
+    # thread may be clearing it.
+    sentinels = [process.sentinel for process in list(processes.values())]
+    return not multiprocessing.connection.wait(sentinels, timeout=0)
+
+
+def _retire_pool(pool):
+    """Shut an idle pool down: join live workers, kill a dead pool's."""
+    if _pool_alive(pool):
+        pool.shutdown(wait=True)
+    else:
+        _terminate_pool(pool)
+
+
+def _lease_pool(workers):
+    """A pool of ``workers`` processes for one map's exclusive use: the
+    kept idle pool when it fits and is alive, else a new one."""
+    global _kept
+    with _kept_lock:
+        kept, _kept = _kept, None
+    if kept is not None:
+        pool, size = kept
+        if size == workers and _pool_alive(pool):
+            return pool
+        _retire_pool(pool)
+    return _make_pool(workers)
+
+
+def _return_pool(pool, workers):
+    """Keep a cleanly finished map's pool for the next lease; with a
+    pool already kept, shut this one down instead."""
+    global _kept, _exit_hook_pid
+    with _kept_lock:
+        if _kept is None:
+            _kept = (pool, workers)
+            if _exit_hook_pid != os.getpid():
+                # A multiprocessing child (a worker that fanned out)
+                # joins its non-daemonic children at exit, after these
+                # finalizers: retire the kept pool first, or that join
+                # waits on idle workers forever.  Priority above the
+                # queues' own (10), so the call queue's feeder thread
+                # still runs to deliver the shutdown sentinels.
+                _exit_hook_pid = os.getpid()
+                multiprocessing.util.Finalize(None, shutdown_pools,
+                                              exitpriority=20)
+            return
+    pool.shutdown(wait=True)
+
+
+def shutdown_pools():
+    """Retire the kept worker pool, if any.
+
+    Idle workers are joined (killed if the pool is already broken); the
+    next ``jobs>1`` map forks a fresh pool from the process as it is
+    then.  Interpreter exit retires the pool anyway; call this to give
+    back the workers, and the descriptors they inherited, sooner.
+    """
+    global _kept
+    with _kept_lock:
+        kept, _kept = _kept, None
+    if kept is not None:
+        _retire_pool(kept[0])
 
 
 def _terminate_pool(pool):
@@ -280,12 +432,13 @@ def _call_job(item):
     (func, payload, index, capture, capture_trace, capture_events,
      capture_resources) = item
     t0 = time.perf_counter()
-    if capture:
-        obs.enable()
-    if capture_trace:
-        obs.enable_tracing()
-    if capture_events:
-        obs.enable_events()
+    # A kept worker outlives the map it was forked for: set every sink
+    # from this job's flags, never from what the fork inherited.
+    for on, enable, disable in (
+            (capture, obs.enable, obs.disable),
+            (capture_trace, obs.enable_tracing, obs.disable_tracing),
+            (capture_events, obs.enable_events, obs.disable_events)):
+        (enable if on else disable)()
     try:
         span = obs.get_tracer().span("batch.job", index=index)
         with span:
@@ -305,12 +458,9 @@ def _call_job(item):
         spans = obs.get_tracer().snapshot() if capture_trace else None
         events = obs.get_event_log().drain() if capture_events else None
     finally:
-        if capture:
-            obs.disable()
-        if capture_trace:
-            obs.disable_tracing()
-        if capture_events:
-            obs.disable_events()
+        obs.disable()
+        obs.disable_tracing()
+        obs.disable_events()
     return ok, value, snapshot, spans, events, rsample, \
         time.perf_counter() - t0
 
@@ -336,11 +486,13 @@ class BatchEngine:
     ``jobs=1`` (the default) runs everything in-process — no pool, no
     pickling, jobs record straight into the process-wide metrics
     registry.  ``jobs=N`` dispatches to ``min(N, len(payloads))``
-    worker processes and merges each job's metrics snapshot into the
-    parent registry.  ``faults`` (a :class:`FaultPolicy`) governs
-    timeouts, retries, and whether failures raise or are collected;
-    the default policy raises on the first failure, exactly as the
-    pre-fault-tolerance engine did.
+    worker processes — the process's kept pool when one of that size
+    is idle (see the module's "Pool lifetime" notes and
+    :func:`shutdown_pools`) — and merges each job's metrics snapshot
+    into the parent registry.  ``faults`` (a :class:`FaultPolicy`)
+    governs timeouts, retries, and whether failures raise or are
+    collected; the default policy raises on the first failure, exactly
+    as the pre-fault-tolerance engine did.
 
     Either way the engine records the ``batch.*`` catalogue keys:
     ``batch.jobs`` (jobs executed), ``batch.workers`` (pool size of the
@@ -618,7 +770,7 @@ class BatchEngine:
                     if not futures:
                         break
                 if pool is None:
-                    pool = _make_pool(workers)
+                    pool = _lease_pool(workers)
                 # Keep at most ``workers`` jobs in flight, so a
                 # submitted job starts (nearly) immediately and its
                 # wall-clock deadline measures *running* time, not
@@ -765,14 +917,9 @@ class BatchEngine:
                 _terminate_pool(pool)
                 pool = None
             raise
-        finally:
-            if pool is not None:
-                if faults.timeout is None:
-                    pool.shutdown(wait=True)
-                else:
-                    # With a timeout in force, never risk joining a
-                    # hung worker on the abort path.
-                    _terminate_pool(pool)
+        if pool is not None:
+            # Every future resolved: the pool is idle and whole.
+            _return_pool(pool, workers)
         return outcomes
 
 

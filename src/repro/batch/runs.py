@@ -787,12 +787,12 @@ class ProgramResult:
 def _measure_program_job(payload):
     """Measure one program of a corpus (online-collapsed trace)."""
     (name, source, secret, public, collapse, entry, max_steps,
-     deadline_seconds) = payload
+     deadline_seconds, backend) = payload
     t0 = time.perf_counter()
     result = measure(source, secret, public, collapse=collapse,
                      entry=entry, filename=name, online=True,
                      max_steps=max_steps,
-                     deadline_seconds=deadline_seconds)
+                     deadline_seconds=deadline_seconds, backend=backend)
     report = result.report
     cut = []
     for cut_edge in report.mincut.edges:
@@ -820,10 +820,14 @@ def measure_programs(items, collapse="context", jobs=1, entry="main",
     :class:`~repro.batch.engine.JobFailure` instead (check with
     ``isinstance``); the other programs' results are unaffected.  A
     non-positive ``max_steps``/``deadline_seconds`` raises
-    ``ValueError`` before any worker starts.
+    ``ValueError`` before any worker starts.  The VM backend is
+    resolved once here, from ``REPRO_BACKEND`` or detection, so every
+    worker runs the same one whatever its own environment (an invalid
+    selector raises ``ValueError`` before any worker starts, too).
     """
     _check_collapse(collapse)
     check_budgets(max_steps, deadline_seconds)
+    backend = resolve_backend(None)
     payloads = []
     for item in items:
         if len(item) == 3:
@@ -832,7 +836,8 @@ def measure_programs(items, collapse="context", jobs=1, entry="main",
         else:
             name, source, secret, public = item
         payloads.append((name, source, bytes(secret), bytes(public),
-                         collapse, entry, max_steps, deadline_seconds))
+                         collapse, entry, max_steps, deadline_seconds,
+                         backend))
     engine = BatchEngine(jobs, faults=_fault_policy(faults, timeout,
                                                     retries, on_error))
     return engine.map(_measure_program_job, payloads)

@@ -1,9 +1,21 @@
 """Tests for the process-pool batch engine."""
 
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+
 import pytest
 
 from repro import obs
-from repro.batch import BatchEngine
+from repro.apps.countpunct import FLOWLANG_SOURCE as COUNTPUNCT
+from repro.batch import (BatchEngine, FaultPolicy, measure_program_runs,
+                         measure_programs, shutdown_pools)
+from repro.batch import engine as engine_module
+from repro.graph.serialize import dumps_graph
 
 
 @pytest.fixture
@@ -24,6 +36,53 @@ def record_solve(x):
     obs.get_metrics().incr("maxflow.solves")
     obs.get_metrics().gauge("flow.bits", x)
     return x
+
+
+def napping_pid(_):
+    """The worker's pid, after a nap long enough to keep every worker
+    of a small pool busy at once."""
+    time.sleep(0.02)
+    return os.getpid()
+
+
+def exit_on_zero(x):
+    if x == 0:
+        os._exit(13)
+    return x
+
+
+def sleep_for(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+def fan_out(n):
+    """A job that itself fans out over a pool."""
+    return BatchEngine(2).map(double, range(n))
+
+
+def kept_pids():
+    """Pids of the kept idle pool's workers."""
+    pool, _ = engine_module._kept
+    return set(pool._processes)
+
+
+def is_dead(pid):
+    """Gone, or a zombie nobody has reaped yet."""
+    try:
+        with open("/proc/%d/stat" % pid) as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def all_dead_within(pids, seconds):
+    deadline = time.monotonic() + seconds
+    while not all(is_dead(pid) for pid in pids):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
 
 
 class TestEngine:
@@ -157,3 +216,181 @@ class TestMetricsFolding:
         results = BatchEngine(2).map(record_solve, [1, 2])
         assert results == [1, 2]
         assert obs.get_metrics().snapshot() == {}
+
+
+class FakePool:
+    def __init__(self):
+        self.shut = False
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shut = True
+
+
+class TestKeptPool:
+    """One idle pool per process, leased exclusively by each map."""
+
+    def test_consecutive_maps_share_workers(self):
+        first = BatchEngine(2).map(napping_pid, range(4))
+        pids = kept_pids()
+        assert len(pids) == 2 and set(first) <= pids
+        second = BatchEngine(2).map(napping_pid, range(4))
+        assert set(second) <= pids
+        assert kept_pids() == pids
+
+    def test_other_worker_count_retires_idle_pool(self):
+        BatchEngine(2).map(napping_pid, range(4))
+        two = kept_pids()
+        BatchEngine(3).map(napping_pid, range(6))
+        three = kept_pids()
+        assert len(three) == 3 and not two & three
+        assert all_dead_within(two, 5.0)
+
+    @pytest.mark.parametrize("func,payloads,policy", [
+        (exit_on_zero, [0, 1, 2], FaultPolicy(on_error="collect")),
+        (sleep_for, [30, 0.01], FaultPolicy(timeout=0.3,
+                                             on_error="collect")),
+    ], ids=["worker-exit", "timeout"])
+    def test_broken_pool_is_never_kept(self, func, payloads, policy):
+        BatchEngine(2).map(napping_pid, range(4))
+        before = kept_pids()
+        BatchEngine(2, faults=policy).map(func, payloads)
+        after = BatchEngine(2).map(napping_pid, range(4))
+        assert not set(after) & before
+        assert all_dead_within(before, 5.0)
+
+    def test_worker_killed_while_idle_costs_no_restart(self, metrics):
+        BatchEngine(2).map(napping_pid, range(4))
+        before = kept_pids()
+        victim = min(before)
+        os.kill(victim, signal.SIGKILL)
+        assert all_dead_within([victim], 5.0)
+        assert BatchEngine(2).map(double, range(6)) == \
+            [0, 2, 4, 6, 8, 10]
+        snap = metrics.snapshot()
+        assert snap["batch.pool_restarts"] == 0
+        assert snap["batch.failures"] == 0
+        assert not kept_pids() & before
+
+    def test_nested_fan_out(self):
+        assert BatchEngine(2).map(fan_out, [2, 3, 4]) == \
+            [[0, 2], [0, 2, 4], [0, 2, 4, 6]]
+        assert BatchEngine(2).map(fan_out, [1, 2]) == [[0], [0, 2]]
+        # Each worker keeps its own pool; retiring the outer one must
+        # retire those too, not wait on their idle workers forever.
+        retire = threading.Thread(target=shutdown_pools, daemon=True)
+        retire.start()
+        retire.join(timeout=30)
+        assert not retire.is_alive()
+
+    def test_lease_is_exclusive_and_one_pool_is_kept(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "_make_pool",
+                            lambda workers: FakePool())
+        first = engine_module._lease_pool(2)
+        second = engine_module._lease_pool(2)
+        assert first is not second
+        engine_module._return_pool(first, 2)
+        engine_module._return_pool(second, 2)
+        assert second.shut and not first.shut
+        assert engine_module._lease_pool(2) is first
+        assert engine_module._lease_pool(2) is not first
+
+    def test_concurrent_maps_never_share_a_pool(self, monkeypatch):
+        leased, clashes, pids = set(), [], set()
+        guard = threading.Lock()
+        lease = engine_module._lease_pool
+        give_back = engine_module._return_pool
+
+        def checked_lease(workers):
+            pool = lease(workers)
+            with guard:
+                if id(pool) in leased:
+                    clashes.append(pool)
+                leased.add(id(pool))
+            return pool
+
+        def checked_return(pool, workers):
+            with guard:
+                leased.discard(id(pool))
+                pids.update(pool._processes)
+            give_back(pool, workers)
+
+        monkeypatch.setattr(engine_module, "_lease_pool", checked_lease)
+        monkeypatch.setattr(engine_module, "_return_pool", checked_return)
+        results = []
+
+        def mapper():
+            for n in range(4, 8):
+                results.append(BatchEngine(2).map(double, range(n)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=mapper) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == sorted(
+            [2 * i for i in range(n)] for n in range(4, 8) for _ in range(3))
+        assert not clashes
+        # Every pool was either kept or shut down: none leaks workers.
+        shutdown_pools()
+        assert all_dead_within(pids, 5.0)
+
+    def test_repeated_program_runs_stay_bit_identical(self):
+        secrets = [b"a.b?", b"", b"x . ? ! .", b"..??", b"no punct"]
+        serial = measure_program_runs(COUNTPUNCT, secrets, jobs=1)
+        pools = set()
+        for _ in range(3):
+            parallel = measure_program_runs(COUNTPUNCT, secrets, jobs=2)
+            assert parallel.bits == serial.bits
+            assert parallel.per_run_bits == serial.per_run_bits
+            assert dumps_graph(parallel.report.graph) == \
+                dumps_graph(serial.report.graph)
+            pools.add(frozenset(kept_pids()))
+        assert len(pools) == 1
+
+    def test_measure_programs_resolves_backend_before_any_pool(
+            self, monkeypatch):
+        def no_pool(workers):
+            raise AssertionError("a pool was made")
+
+        monkeypatch.setenv("REPRO_BACKEND", "bogus")
+        monkeypatch.setattr(engine_module, "_make_pool", no_pool)
+        source = "fn main() { output(secret_u8() & 1); }"
+        with pytest.raises(ValueError, match="bogus"):
+            measure_programs([("a", source, b"\x01"),
+                              ("b", source, b"\x02")], jobs=2)
+
+
+ORPHAN_SCRIPT = textwrap.dedent("""
+    import os, sys
+    from repro.batch import BatchEngine
+    from repro.batch import engine
+
+    def pid(_):
+        return os.getpid()
+
+    BatchEngine(2).map(pid, range(4))
+    with open(sys.argv[1], "w") as handle:
+        handle.write(" ".join(map(str, engine._kept[0]._processes)))
+    os._exit(0)
+""")
+
+
+def test_workers_exit_after_their_parent_is_killed(tmp_path):
+    """A kept pool's idle workers die with their parent.  The pids go
+    through a file: the workers inherit the child's stdout, which is
+    read to EOF here."""
+    pid_file = tmp_path / "pids"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", ORPHAN_SCRIPT,
+                           str(pid_file)], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    pids = [int(pid) for pid in pid_file.read_text().split()]
+    assert len(pids) == 2
+    assert all_dead_within(pids, 5.0)
