@@ -13,8 +13,9 @@ contract of docs/service.md, asserting at each step:
    every job acked before the drain replays with the same terminal
    state after a restart;
 6. the telemetry directory passes ``repro obs check``;
-7. SIGKILLing a daemon that holds a warm worker pool leaves no worker
-   alive after 5 s.
+7. the warm pool workers of a ``--jobs 2`` daemon hold no descriptor
+   on a path under its state directory or on its listening socket,
+   and SIGKILLing that daemon leaves no worker alive after 5 s.
 
 Usage::
 
@@ -151,6 +152,39 @@ def is_running(pid):
             return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
     except (OSError, IndexError):
         return False
+
+
+def listening_inode(port):
+    """Inode of the TCP socket listening on ``port``, via /proc/net."""
+    for table in ("/proc/net/tcp", "/proc/net/tcp6"):
+        try:
+            with open(table) as handle:
+                rows = handle.read().splitlines()[1:]
+        except OSError:
+            continue
+        for row in rows:
+            fields = row.split()
+            local_port = int(fields[1].rsplit(":", 1)[1], 16)
+            if fields[3] == "0A" and local_port == port:  # 0A: LISTEN
+                return int(fields[9])
+    raise AssertionError("no socket listens on port %d" % port)
+
+
+def daemon_descriptors(pid, state_dir, socket_inode):
+    """``pid``'s descriptors on a path under ``state_dir`` or on the
+    daemon's listening socket."""
+    root = os.path.join(os.path.realpath(state_dir), "")
+    socket_link = "socket:[%d]" % socket_inode
+    fd_dir = "/proc/%d/fd" % pid
+    held = []
+    for name in os.listdir(fd_dir):
+        try:
+            target = os.readlink(os.path.join(fd_dir, name))
+        except OSError:
+            continue
+        if target.startswith(root) or target == socket_link:
+            held.append(target)
+    return held
 
 
 def check_happy_path(base):
@@ -325,6 +359,13 @@ def check_orphans(state_dir):
         check_happy_path(base)
         pids = worker_pids(proc.pid)
         assert pids, "no warm pool worker after a completed job"
+        inode = listening_inode(int(base.rsplit(":", 1)[1]))
+        for pid in pids:
+            held = daemon_descriptors(pid, state_dir, inode)
+            assert not held, ("warm worker %d holds daemon descriptors: %s"
+                              % (pid, held))
+        log("orphans: %d warm worker(s) hold no state-dir file or "
+            "listening socket" % len(pids))
         proc.kill()
         proc.wait(timeout=60)
         deadline = time.monotonic() + 5.0

@@ -197,6 +197,12 @@ class CheckTracker:
             return PUBLIC
         return Provenance(width_mask(width), TAINTED)
 
+    def region_outputs(self, location, region_exit, old_provenances, width):
+        # Each element may count sanctioned bits: keep the per-element
+        # loop (the reference semantics of the bulk event).
+        return [self.region_output(location, region_exit, old, width)
+                for old in old_provenances]
+
     def output(self, location, provenances):
         self._stats["outputs"] += 1
         for prov in provenances:

@@ -387,6 +387,20 @@ class TraceBuilder:
                          self._label(location, "data"))
         return Provenance(mask, outer)
 
+    def region_outputs(self, location, region_exit, old_provenances, width):
+        """Produce the post-region provenances of many declared outputs.
+
+        Bit-identical to one :meth:`region_output` call per element of
+        the sequence ``old_provenances``, in order, all at ``location``
+        and ``width`` (this reference implementation *is* that loop);
+        returns the list of new provenances.  The bulk entry point
+        exists so frontends can hand over whole buffers in one call --
+        :class:`CollapsingTraceBuilder` overrides it with an update
+        that costs O(distinct provenances) instead of O(elements).
+        """
+        return [self.region_output(location, region_exit, old, width)
+                for old in old_provenances]
+
     @property
     def region_depth(self):
         """Number of currently active enclosure regions."""
@@ -742,6 +756,85 @@ class CollapsingTraceBuilder(TraceBuilder):
                 refs = self.category_edges[category]
                 refs.extend(refs[-1:] * extra)
         return [first] * count
+
+    def region_outputs(self, location, region_exit, old_provenances, width):
+        """Bulk :meth:`~TraceBuilder.region_output`, O(secret elements).
+
+        The first element whose old provenance carries no secret bits
+        goes through the normal path (creating or reusing the
+        location's value and region buckets, and folding the region
+        node into the region bucket's tail).  Every later such element
+        is an exact repeat -- same label keys, same endpoints, capacity
+        ``width`` -- so it reduces to arithmetic on those two buckets
+        and the counters, and shares the first one's provenance.
+        Elements with a secret old provenance still take the normal
+        path, in order, because their data edge folds a new tail class.
+        Every addition to the value and region buckets is ``width``,
+        so folding the repeats after the loop leaves each bucket with
+        the loop's capacity, INF saturation included.  The equivalence
+        suite asserts the result matches the reference loop.
+        """
+        if region_exit.node is None:
+            if old_provenances:
+                self._check_live()
+            return list(old_provenances)
+        region_output = self.region_output
+        out = []
+        shared = None
+        repeats = 0
+        for old in old_provenances:
+            if old.node is not None and old.mask:
+                out.append(region_output(location, region_exit, old, width))
+            elif shared is None:
+                shared = region_output(location, region_exit, old, width)
+                out.append(shared)
+            else:
+                repeats += 1
+                out.append(shared)
+        if repeats:
+            collapser = self._collapser
+            collapser.repeat_edge(
+                self._label(location, "value"), width, repeats)
+            collapser.repeat_edge(
+                self._label(location, "region"), width, repeats)
+            self._virtual_nodes += 2 * repeats
+            self._virtual_edges += 2 * repeats
+        return out
+
+    def output(self, location, provenances):
+        """:meth:`TraceBuilder.output` with repeated provenances folded.
+
+        All of one event's ``io`` edges share a bucket; once a node has
+        fed it, a later value with the same node is an exact repeat
+        whose merges are no-ops, so it only adds its bits to the bucket
+        (saturating at INF exactly as ``add_capacity`` does) and bumps
+        the counters.  Capacities are added in element order.
+        """
+        self._check_live()
+        self._output_events += 1
+        chain_label = self._label(location, "chain")
+        event = self._g_head(self._pending, INF, chain_label)
+        collapser = self._collapser
+        io_edge = None
+        fed = set()
+        for prov in provenances:
+            node = prov.node
+            if node is None or not prov.mask:
+                continue
+            bits = prov.bits
+            self._tainted_output_bits += bits
+            if node in fed:
+                self._virtual_edges += 1
+                collapser.merge_hits += 1
+                cap = io_edge.capacity
+                io_edge.capacity = (INF if cap >= INF or bits >= INF
+                                    else cap + bits)
+                continue
+            fed.add(node)
+            io_edge = self._g_edge(node, event, bits,
+                                   self._label(location, "io"))
+        self._g_edge(event, _SINK, INF, self._label(location, "output"))
+        self._pending = self._g_head(self._pending, INF, chain_label)
 
     # -- results ------------------------------------------------------
 

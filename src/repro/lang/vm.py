@@ -190,6 +190,9 @@ class NullTracker:
     def region_output(self, location, region_exit, old_provenance, width):
         return old_provenance
 
+    def region_outputs(self, location, region_exit, old_provenances, width):
+        return list(old_provenances)
+
     def output(self, location, provenances):
         pass
 

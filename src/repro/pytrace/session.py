@@ -98,15 +98,62 @@ class Region:
         region's implicit flows; if no implicit flow occurred the value
         is returned as-is.
         """
-        if self._exit is None:
-            raise TraceError("Region.wrap() before the with-block closed")
-        session = self._session
+        self._check_closed("wrap")
         width = width if width is not None else width_of(value, default=8)
         old_prov = value.prov if isinstance(value, SecretInt) else PUBLIC
-        loc = Location(self._location.unit, self._location.point,
-                       name or "out")
-        new_prov = session.tracker.region_output(loc, self._exit, old_prov,
-                                                 width)
+        loc = self._output_location(name)
+        new_prov = self._session.tracker.region_output(loc, self._exit,
+                                                       old_prov, width)
+        return self._wrapped(loc, value, old_prov, new_prov, width)
+
+    def wrap_all(self, values, width=8, name=None):
+        """:meth:`wrap` applied to a list, as one bulk tracker event.
+
+        All elements share one output location (like one store
+        instruction executing per element), so collapsed graph size
+        stays independent of the list length.  The location is built
+        once and the tracker gets one
+        :meth:`~repro.core.tracker.TraceBuilder.region_outputs` call --
+        one per run of equal widths when ``width`` is ``None``, where
+        each element takes :meth:`wrap`'s ``width_of(v, default=8)``.
+        Results follow :meth:`wrap`'s rules element by element; an
+        interceptor sees the elements in order after the bulk call.
+        """
+        self._check_closed("wrap_all")
+        values = list(values)
+        loc = self._output_location(name)
+        olds = [v.prov if isinstance(v, SecretInt) else PUBLIC
+                for v in values]
+        tracker = self._session.tracker
+        if width is not None:
+            widths = [width] * len(values)
+            news = tracker.region_outputs(loc, self._exit, olds, width)
+        else:
+            widths = [width_of(v, default=8) for v in values]
+            news = []
+            start = 0
+            for end in range(1, len(values) + 1):
+                if end == len(values) or widths[end] != widths[start]:
+                    news.extend(tracker.region_outputs(
+                        loc, self._exit, olds[start:end], widths[start]))
+                    start = end
+        wrapped = self._wrapped
+        return [wrapped(loc, v, old, new, w)
+                for v, old, new, w in zip(values, olds, news, widths)]
+
+    def _check_closed(self, method):
+        if self._exit is None:
+            raise TraceError("Region.%s() before the with-block closed"
+                             % method)
+
+    def _output_location(self, name):
+        return Location(self._location.unit, self._location.point,
+                        name or "out")
+
+    def _wrapped(self, loc, value, old_prov, new_prov, width):
+        """:meth:`wrap`'s result for ``value`` once the tracker has
+        turned its old provenance into ``new_prov``."""
+        session = self._session
         concrete = concrete_of(value)
         if session.interceptor is not None:
             concrete = session.intercept_value(loc, concrete, width)
@@ -121,16 +168,6 @@ class Region:
         if new_prov.mask == 0:
             return concrete
         return SecretInt(session, concrete, width, new_prov.mask, new_prov)
-
-    def wrap_all(self, values, width=8, name=None):
-        """:meth:`wrap` applied to a list.
-
-        All elements share one output location (like one store
-        instruction executing per element), so collapsed graph size
-        stays independent of the list length.
-        """
-        return [self.wrap(v, width=width, name=name or "out")
-                for v in values]
 
 
 class _RegionContext:

@@ -57,6 +57,7 @@ import os
 import signal
 import threading
 import time
+import weakref
 
 from .. import obs
 from ..batch.engine import PENDING, BatchEngine, FaultPolicy, JobFailure
@@ -72,6 +73,23 @@ from .queue import JobQueue
 
 _COLLAPSE_MODES = ("context", "location")
 _MAX_RUNS = 4096
+
+#: Daemons between :meth:`MeasurementDaemon.start` and ``stop``.
+_serving = weakref.WeakSet()
+
+
+def _release_in_child():
+    """At-fork hook: a child forked while a daemon serves -- a batch
+    pool worker, forked by the dispatcher in the middle of a job --
+    gives back that daemon's descriptors.  Kept workers outlive the
+    job, so without this they would pin its ``progress.jsonl`` (even
+    once deleted), the queue journal, the shard pack and the listening
+    socket until the pool retires."""
+    for daemon in list(_serving):
+        daemon._release_descriptors()
+
+
+os.register_at_fork(after_in_child=_release_in_child)
 
 
 def _finite(bits):
@@ -232,6 +250,8 @@ class MeasurementDaemon:
         self._server_thread = None
         self._dispatcher = None
         self._exporter = None
+        self._state_root = None
+        self._listen_fd = None
         self._ledger = obs.Ledger()
         self.queue = JobQueue(config.state_dir)
         self.admission = AdmissionController(
@@ -537,6 +557,38 @@ class MeasurementDaemon:
     # ------------------------------------------------------------------
     # Lifecycle
 
+    def _release_descriptors(self):
+        """In a forked child: point every inherited descriptor on a path
+        under the state directory, and the listening socket, at
+        ``/dev/null``.  Pipes are left alone (the pool's queues are
+        pipes), and so are stdin/stdout/stderr.  ``dup2`` rather than
+        ``close`` keeps each number taken, so the daemon's file objects
+        copied into the child can never close a descriptor the child
+        opened later under the same number."""
+        try:
+            fds = [int(name) for name in os.listdir("/proc/self/fd")]
+        except OSError:
+            return  # no procfs: nothing to enumerate
+        prefix = os.path.join(self._state_root, "")
+        targets = []
+        for fd in fds:
+            if fd <= 2:
+                continue
+            if fd == self._listen_fd:
+                targets.append(fd)
+                continue
+            try:
+                path = os.readlink("/proc/self/fd/%d" % fd)
+            except OSError:
+                continue  # the listing's own descriptor, now closed
+            if path == self._state_root or path.startswith(prefix):
+                targets.append(fd)
+        if targets:
+            null = os.open(os.devnull, os.O_RDWR)
+            for fd in targets:
+                os.dup2(null, fd)
+            os.close(null)
+
     def initiate_drain(self):
         """Stop admitting, checkpoint in flight, shut down (idempotent,
         signal-handler safe)."""
@@ -575,6 +627,9 @@ class MeasurementDaemon:
             raise ServeError("cannot bind %s:%d: %s"
                              % (config.host, config.port, error))
         host, port = self._server.server_address[:2]
+        self._state_root = os.path.realpath(config.state_dir)
+        self._listen_fd = self._server.fileno()
+        _serving.add(self)
         _atomic_json(os.path.join(config.state_dir, "endpoint.json"),
                      {"host": host, "port": port, "pid": os.getpid()})
         self._server_thread = threading.Thread(
@@ -591,6 +646,7 @@ class MeasurementDaemon:
     def stop(self):
         """Drain and tear down; returns 0 (the drain exit code)."""
         self.initiate_drain()
+        _serving.discard(self)
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()

@@ -12,6 +12,7 @@ from repro.apps.bzip2 import (BitReader, BitWriter, bwt_forward, bwt_inverse,
                               mtf_encode, rle_decode, rle_encode)
 from repro.apps.bzip2.huffman import Decoder, encode
 from repro.apps.pi import pi_digits, pi_in_english, workload_of_size
+from repro.graph.serialize import graph_digest
 from repro.pytrace import Session
 
 
@@ -262,6 +263,65 @@ class TestTrackedCompression:
         flows = [measure_compression_flow(workload_of_size(n)).flow_bits
                  for n in (128, 512, 1024)]
         assert flows == sorted(flows)
+
+
+_PIN_WORDS = (
+    "the", "of", "and", "to", "in", "is", "that", "it", "was", "for",
+    "on", "are", "with", "as", "his", "they", "be", "at", "one", "have",
+    "this", "from", "by", "hot", "word", "but", "what", "some", "we",
+    "can", "out", "other", "were", "all", "there", "when", "up", "use",
+    "your", "how", "said", "an", "each", "she")
+
+
+def english_text(seed, size=512):
+    """``size`` bytes of seeded English-like sentences."""
+    rng = random.Random(seed)
+    out = bytearray()
+    while len(out) < size:
+        words = [rng.choice(_PIN_WORDS) for _ in range(rng.randint(5, 14))]
+        words[0] = words[0].capitalize()
+        out += " ".join(words).encode("ascii") + b". "
+    return bytes(out[:size])
+
+
+def _stats(graph_nodes, graph_edges, tainted_output_bits):
+    return {"operations": 511, "implicit_flows": 2559, "outputs": 1,
+            "secret_input_bits": 4096,
+            "tainted_output_bits": tainted_output_bits,
+            "graph_nodes": graph_nodes, "graph_edges": graph_edges}
+
+
+#: (text seed, collapse) -> (bits, collapsed edges, tracker stats,
+#: SHA-256 of the collapsed graph's flowgraph-v1 text), for the online
+#: Figure 3 measurement of ``english_text(seed)``.
+FIG3_PINS = {
+    (11, "location"): (
+        2088, 14, _stats(2574, 5903, 2088),
+        "4ed9bf8b19a107d1a1aded466b7fac78073f7753d9f70ea9343d6d37511b7398"),
+    (11, "context"): (
+        2088, 14, _stats(2574, 5903, 2088),
+        "1a2b1779d2bec1772b56d8d79328fc2f56fa1c899b3cbc9b896e11a9a1914c2c"),
+    (12, "location"): (
+        2168, 14, _stats(2594, 5933, 2168),
+        "df30a68909830e537f1f5014bde9764c79f2e863e3ae90e771640813f04c975d"),
+    (12, "context"): (
+        2168, 14, _stats(2594, 5933, 2168),
+        "258b48f8a2ecb4c34bb13edfddc5c37e01cb3ed57ecf7409e2821a3b922c4dbe"),
+}
+
+
+@pytest.mark.parametrize("backend", ["reference", "fast"])
+@pytest.mark.parametrize("seed,collapse", sorted(FIG3_PINS))
+def test_figure3_figures_pinned(seed, collapse, backend):
+    """Absolute Figure 3 figures: the backend suites compare backends
+    with each other, so a change to an event both backends share (the
+    bulk region outputs, say) would move them together unseen."""
+    result = measure_compression_flow(english_text(seed), online=True,
+                                      collapse=collapse, backend=backend)
+    report = result.report
+    assert (result.flow_bits, report.collapse_stats.collapsed_edges,
+            report.stats, graph_digest(report.graph)) == \
+        FIG3_PINS[seed, collapse]
 
 
 class TestPiWorkload:

@@ -39,11 +39,42 @@ def random_pytrace_program(session, seed, n_bytes=24):
     session.output(parity, name="parity")
 
 
-def run_both(program, collapse):
-    offline = Session()
+def random_region_program(session, seed, n_bytes=16):
+    """A second seed-deterministic traced program, through enclosure
+    regions: ``wrap_all`` over mixed public and secret values (a fixed
+    width, or per-element widths), and multi-value outputs that repeat
+    a provenance."""
+    rng = random.Random(seed)
+    payload = bytes(rng.randrange(256) for _ in range(n_bytes))
+    data = session.secret_bytes(payload, name="payload")
+    for _ in range(rng.randint(2, 4)):
+        branchy = rng.random() < 0.8
+        with session.enclose("round") as region:
+            values = []
+            for b in data[:rng.randint(1, n_bytes)]:
+                pick = rng.randrange(4)
+                if branchy and pick == 0:
+                    # A public value written under a secret branch.
+                    values.append(7 if b > rng.randrange(256) else 300)
+                elif pick == 1:
+                    values.append(b)
+                elif pick == 2:
+                    values.append(session.widen(b & rng.randrange(1, 256),
+                                                rng.choice([8, 12])))
+                else:
+                    values.append(rng.randrange(1 << rng.randint(1, 10)))
+        wrapped = region.wrap_all(values, width=rng.choice([8, None]),
+                                  name=rng.choice(["block", "tail"]))
+        picks = [rng.choice(wrapped) for _ in range(rng.randint(1, 6))]
+        session.output(*picks, name="picks")
+        session.output_bytes(wrapped, name="block")
+
+
+def run_both(program, collapse, backend=None):
+    offline = Session(backend=backend)
     program(offline)
     off = offline.measure(collapse=collapse)
-    online = Session(online_collapse=collapse)
+    online = Session(online_collapse=collapse, backend=backend)
     program(online)
     on = online.measure()
     return off, on
@@ -71,6 +102,14 @@ class TestPytraceEquivalence:
     def test_random_programs(self, seed, collapse):
         off, on = run_both(
             lambda s: random_pytrace_program(s, seed), collapse)
+        assert_reports_match(off, on)
+
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    @pytest.mark.parametrize("collapse", ["context", "location"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_region_programs(self, seed, collapse, backend):
+        off, on = run_both(
+            lambda s: random_region_program(s, seed), collapse, backend)
         assert_reports_match(off, on)
 
     @pytest.mark.parametrize("collapse", ["context", "location"])

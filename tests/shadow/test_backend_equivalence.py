@@ -18,11 +18,19 @@ import pytest
 
 from repro.apps.bzip2 import measure_compression_flow
 from repro.apps.pi import workload_of_size
-from repro.core.tracker import CollapsingTraceBuilder, TraceBuilder
+from repro.core.checking import CheckTracker
+from repro.core.lockstep import RecordingInterceptor, ReplayInterceptor
+from repro.core.locations import Location
+from repro.core.measure import measure_graph
+from repro.core.policy import CutPolicy
+from repro.core.tracker import PUBLIC, CollapsingTraceBuilder, TraceBuilder
+from repro.graph.flowgraph import INF
 from repro.graph.serialize import dump_graph
 from repro.lang import measure as lang_measure
 from repro.lang import measure_many
-from repro.pytrace import Session
+from repro.lang.vm import NullTracker
+from repro.errors import TraceError
+from repro.pytrace import SecretInt, Session
 from repro.shadow import (BACKENDS, detect_backend, native_available,
                           resolve_backend)
 from repro.shadow import fast as fast_mod
@@ -305,3 +313,287 @@ class TestBulkSecretValues:
         loc = Location("unit", 3, "secret")
         builder = CollapsingTraceBuilder()
         assert builder.secret_values(loc, 8, 4, mask=0) == [PUBLIC] * 4
+
+
+# ----------------------------------------------------------------------
+# Bulk region outputs and output repeats: the per-element loop is the
+# oracle on every tracker.
+
+OUT_LOC = Location("unit", 9, "out")
+OUTPUT_LOC = Location("unit", 10, "output")
+
+#: tracker kind -> factory; the check trackers run without and with a
+#: cut at the region output.
+TRACKERS = {
+    "plain": TraceBuilder,
+    "collapsing-reference":
+        lambda: CollapsingTraceBuilder(backend="reference"),
+    "collapsing-fast": lambda: CollapsingTraceBuilder(backend="fast"),
+    "collapsing-location":
+        lambda: CollapsingTraceBuilder(context_sensitive=False,
+                                       backend="fast"),
+    "check": lambda: CheckTracker(CutPolicy(64, {})),
+    "check-cut":
+        lambda: CheckTracker(CutPolicy(64, {("value", str(OUT_LOC)): 8})),
+    "null": NullTracker,
+}
+
+#: Old-provenance patterns: ``p`` public, a digit one of three secrets.
+PATTERNS = {
+    "public": "pppppppp",
+    "secret": "01200112",
+    "mixed": "0pp1p00p2pp1",
+    "secret-first": "1ppp0pp",
+}
+
+
+def observe_tracker(tracker, olds, news):
+    """Everything a bulk event may not change, for one tracker."""
+    seen = {"masks": [p.mask for p in news],
+            "same": [new is old for new, old in zip(news, olds)]}
+    if isinstance(tracker, NullTracker):
+        return seen
+    tracker.output(OUTPUT_LOC, news)
+    result = tracker.finish()
+    seen["stats"] = tracker.stats
+    if isinstance(tracker, CheckTracker):
+        seen["check"] = (result.revealed_bits, result.sanctioned_bits,
+                         [repr(flow) for flow in result.unexpected])
+    else:
+        # The text renders every capacity >= INF alike; the exact
+        # saturated values are compared too.
+        seen["graph"] = graph_text(result)
+        seen["capacities"] = [edge.capacity for edge in result.edges]
+    if isinstance(tracker, CollapsingTraceBuilder):
+        seen["merge_hits"] = tracker._collapser.merge_hits
+    return seen
+
+
+def drive_region_outputs(kind, pattern, bulk, implicit=True, width=8,
+                         near_inf=None):
+    """One region over a pattern of old provenances, through the bulk
+    event or the per-element loop; ``near_inf`` first seeds every
+    bucket the event touches and sets it ``near_inf`` below INF."""
+    tracker = TRACKERS[kind]()
+    secrets = [tracker.secret_value(Location("unit", 1, "secret"), 8)
+               for _ in range(3)]
+    tracker.enter_region(Location("unit", 2, "region"))
+    if implicit:
+        tracker.branch(Location("unit", 3, "branch"), secrets[0])
+    exit_token = tracker.leave_region(Location("unit", 4, "region"))
+    if near_inf is not None:
+        tracker.region_output(OUT_LOC, exit_token, secrets[2], width)
+        for kind_name in ("value", "region", "data"):
+            bucket = tracker._collapser.bucket_for(
+                tracker._label(OUT_LOC, kind_name))
+            bucket.capacity = INF - near_inf
+    olds = [PUBLIC if c == "p" else secrets[int(c)] for c in pattern]
+    if bulk:
+        news = tracker.region_outputs(OUT_LOC, exit_token, olds, width)
+    else:
+        news = [tracker.region_output(OUT_LOC, exit_token, old, width)
+                for old in olds]
+    return observe_tracker(tracker, olds, news)
+
+
+class TestBulkRegionOutputs:
+    """``region_outputs`` must equal the ``region_output`` loop."""
+
+    @pytest.mark.parametrize("pattern", sorted(PATTERNS))
+    @pytest.mark.parametrize("kind", sorted(TRACKERS))
+    def test_bulk_equals_loop(self, kind, pattern):
+        bulk = drive_region_outputs(kind, PATTERNS[pattern], bulk=True)
+        loop = drive_region_outputs(kind, PATTERNS[pattern], bulk=False)
+        assert bulk == loop
+
+    @pytest.mark.parametrize("kind", sorted(TRACKERS))
+    def test_no_implicit_flow_returns_the_same_objects(self, kind):
+        bulk = drive_region_outputs(kind, PATTERNS["mixed"], bulk=True,
+                                    implicit=False)
+        loop = drive_region_outputs(kind, PATTERNS["mixed"], bulk=False,
+                                    implicit=False)
+        assert bulk == loop
+        if kind != "check-cut":  # a cut declassifies at the output
+            assert all(bulk["same"])
+
+    @pytest.mark.parametrize("kind", sorted(TRACKERS))
+    def test_empty(self, kind):
+        assert drive_region_outputs(kind, "", bulk=True) == \
+            drive_region_outputs(kind, "", bulk=False)
+
+    @pytest.mark.parametrize("near_inf", [1, 8, 20, 24, 25, 1000])
+    @pytest.mark.parametrize("pattern", ["public", "mixed"])
+    @pytest.mark.parametrize("kind", ["collapsing-reference",
+                                      "collapsing-fast"])
+    def test_inf_boundary(self, kind, pattern, near_inf):
+        # The repeats are folded after the loop; every value/region
+        # addend is ``width``, so saturation lands on the same value.
+        bulk = drive_region_outputs(kind, PATTERNS[pattern], bulk=True,
+                                    near_inf=near_inf)
+        loop = drive_region_outputs(kind, PATTERNS[pattern], bulk=False,
+                                    near_inf=near_inf)
+        assert bulk == loop
+
+    def test_repeats_share_one_provenance(self):
+        tracker = CollapsingTraceBuilder(backend="fast")
+        secret = tracker.secret_value(Location("unit", 1, "secret"), 8)
+        tracker.enter_region(Location("unit", 2, "region"))
+        tracker.branch(Location("unit", 3, "branch"), secret)
+        exit_token = tracker.leave_region(Location("unit", 4, "region"))
+        news = tracker.region_outputs(OUT_LOC, exit_token,
+                                      [PUBLIC] * 5, 8)
+        assert len({id(p) for p in news}) == 1
+
+
+def drive_outputs(provs_of, tracker, near_inf=None, generic=False):
+    """Secrets, an operation, then one output event carrying the
+    provenances ``provs_of(secrets, derived)`` picks."""
+    loc = Location("unit", 1, "secret")
+    secrets = [tracker.secret_value(loc, 8) for _ in range(3)]
+    derived = tracker.operation(Location("unit", 2, "xor"), 0x0F,
+                                secrets[:2])
+    if near_inf is not None:
+        tracker.output(OUTPUT_LOC, [secrets[0]])
+        tracker._collapser.bucket_for(
+            tracker._label(OUTPUT_LOC, "io")).capacity = INF - near_inf
+    provs = provs_of(secrets, derived)
+    if generic:
+        TraceBuilder.output(tracker, OUTPUT_LOC, provs)
+    else:
+        tracker.output(OUTPUT_LOC, provs)
+    return tracker
+
+
+OUTPUT_CASES = {
+    "repeated": lambda s, d: [s[0]] * 6,
+    "distinct": lambda s, d: [s[0], s[1], s[2], d],
+    "public": lambda s, d: [PUBLIC] * 4,
+    "mixed": lambda s, d: [s[0], PUBLIC, d, s[0], d, PUBLIC, s[2], s[0]],
+}
+
+
+class TestCollapsingOutputRepeats:
+    """The collapsing ``output`` folds repeated provenances by
+    arithmetic; the plain builder plus post-hoc collapse, and the
+    generic per-value ``add_edge`` path, are its oracles."""
+
+    @pytest.mark.parametrize("collapse", ["context", "location"])
+    @pytest.mark.parametrize("case", sorted(OUTPUT_CASES))
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    def test_matches_post_hoc_collapse(self, backend, case, collapse):
+        plain = drive_outputs(OUTPUT_CASES[case], TraceBuilder())
+        offline = measure_graph(plain.finish(), collapse=collapse,
+                                stats=plain.stats)
+        online_builder = drive_outputs(
+            OUTPUT_CASES[case],
+            CollapsingTraceBuilder(context_sensitive=collapse == "context",
+                                   backend=backend))
+        online = measure_graph(online_builder.finish(), collapse=collapse,
+                               stats=online_builder.stats)
+        assert online.bits == offline.bits
+        assert online_builder.stats == plain.stats
+        assert graph_text(online.graph) == graph_text(offline.graph)
+        assert (online.collapse_stats.original_nodes,
+                online.collapse_stats.original_edges) == (
+                offline.collapse_stats.original_nodes,
+                offline.collapse_stats.original_edges)
+
+    @pytest.mark.parametrize("near_inf", [None, 1, 8, 17, 1000])
+    @pytest.mark.parametrize("case", sorted(OUTPUT_CASES))
+    def test_matches_generic_path(self, case, near_inf):
+        folded = drive_outputs(OUTPUT_CASES[case],
+                               CollapsingTraceBuilder(backend="fast"),
+                               near_inf=near_inf)
+        generic = drive_outputs(OUTPUT_CASES[case],
+                                CollapsingTraceBuilder(backend="fast"),
+                                near_inf=near_inf, generic=True)
+        assert folded._collapser.merge_hits == \
+            generic._collapser.merge_hits
+        assert folded.stats == generic.stats
+        folded_graph, generic_graph = folded.finish(), generic.finish()
+        assert graph_text(folded_graph) == graph_text(generic_graph)
+        assert [edge.capacity for edge in folded_graph.edges] == \
+            [edge.capacity for edge in generic_graph.edges]
+
+
+class _ValueCuts:
+    """A policy whose only cuts are region outputs named ``cut``."""
+
+    def allows_location(self, kind, location):
+        return kind == "value" and location.detail == "cut"
+
+
+def describe(value):
+    if isinstance(value, SecretInt):
+        return ("secret", value.value, value.width, value.mask)
+    return ("plain", value)
+
+
+def drive_wrap(bulk, width, implicit, tracker, interceptor):
+    """Region outputs of mixed values through ``wrap_all`` or a
+    per-element ``wrap`` loop, under ``interceptor``."""
+    session = Session(tracker=tracker, interceptor=interceptor,
+                      backend="fast")
+    data = session.secret_bytes(b"\x05\xf0\x33\x81", name="payload")
+    with session.enclose("region") as region:
+        first = 7
+        if implicit and data[0] > 3:
+            first = 9
+        values = [first, data[1], session.widen(data[2] & 0x3F, 12), 300,
+                  data[1], 0, session.widen(5, 16)]
+    if bulk:
+        wrapped = region.wrap_all(values, width=width, name="cut")
+    else:
+        wrapped = [region.wrap(v, width=width, name="cut") for v in values]
+    session.output(*wrapped)
+    seen = [describe(v) for v in wrapped]
+    if isinstance(tracker, TraceBuilder):
+        seen.append(graph_text(tracker.finish()))
+        seen.append(tracker.stats)
+    return seen
+
+
+class TestWrapAllEqualsWrap:
+    """``Region.wrap_all`` ≡ per-element ``Region.wrap``, including
+    under a lockstep interceptor and with per-element widths."""
+
+    @pytest.mark.parametrize("implicit", [True, False])
+    @pytest.mark.parametrize("width", [8, None])
+    @pytest.mark.parametrize("tracker", ["null", "plain", "collapsing"])
+    def test_lockstep(self, tracker, width, implicit):
+        make = {"null": NullTracker, "plain": TraceBuilder,
+                "collapsing": CollapsingTraceBuilder}[tracker]
+        recorded = {}
+        for bulk in (True, False):
+            recorder = RecordingInterceptor(_ValueCuts())
+            seen = drive_wrap(bulk, width, implicit, make(), recorder)
+            recorded[bulk] = (seen, recorder.cut_values, recorder.cut_bits,
+                              recorder.outputs)
+        assert recorded[True] == recorded[False]
+        cut_values = recorded[True][1]
+        assert cut_values, "the region outputs are cut points"
+        # The replaying copy substitutes every recorded cut value.
+        substituted = [(kind, loc, value ^ 1)
+                       for kind, loc, value in cut_values]
+        replayed = {}
+        for bulk in (True, False):
+            replayer = ReplayInterceptor(_ValueCuts(), substituted)
+            seen = drive_wrap(bulk, width, implicit, make(), replayer)
+            replayed[bulk] = (seen, replayer.outputs,
+                              replayer.desynchronized,
+                              replayer.fully_consumed)
+        assert replayed[True] == replayed[False]
+        assert not replayed[True][2] and replayed[True][3]
+
+    @pytest.mark.parametrize("width", [8, None])
+    def test_without_interceptor(self, width):
+        assert drive_wrap(True, width, True, TraceBuilder(), None) == \
+            drive_wrap(False, width, True, TraceBuilder(), None)
+
+    def test_before_the_block_closes(self):
+        session = Session()
+        with session.enclose("region") as region:
+            with pytest.raises(TraceError):
+                region.wrap_all([1, 2])
+            with pytest.raises(TraceError):
+                region.wrap(1)
