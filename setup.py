@@ -1,28 +1,12 @@
-"""Setuptools shim + the optional native-kernel extension.
+"""Setuptools shim.
 
-All project metadata lives in ``pyproject.toml``; this file exists for
-two reasons:
-
-* ``pip install -e .`` keeps working in offline environments where the
-  ``wheel`` package (required by PEP 660 editable builds) is
-  unavailable: pip falls back to the legacy ``setup.py develop`` path.
-* The ``repro._native._kernels`` C extension is declared here with
-  ``optional=True``: on a machine with a C compiler it is built and the
-  backend registry's ``"auto"`` resolves to ``"native"``; without one
-  the build step fails softly, installation still succeeds, and
-  ``"auto"`` resolves to the pure-Python ``"fast"`` backend
-  (``docs/backends.md``).  For an in-tree checkout, build it with
-  ``python setup.py build_ext --inplace``.
+All project metadata lives in ``pyproject.toml``; this file exists so
+that ``pip install -e .`` keeps working in offline environments where
+the ``wheel`` package (required by PEP 660 editable builds) is
+unavailable: pip falls back to the legacy ``setup.py develop`` path.
+The package is pure Python and has no build step.
 """
 
-from setuptools import Extension, setup
+from setuptools import setup
 
-setup(
-    ext_modules=[
-        Extension(
-            "repro._native._kernels",
-            sources=["src/repro/_native/_kernels.c"],
-            optional=True,
-        ),
-    ],
-)
+setup()

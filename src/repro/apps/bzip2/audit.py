@@ -47,7 +47,7 @@ def measure_compression_flow(data, block_size=DEFAULT_BLOCK_SIZE,
     stays proportional to code coverage instead of trace length; the
     resulting report is equivalent to the post-hoc collapse.
     ``backend`` selects the shadow-propagation backend
-    (``"reference"``/``"fast"``/``"native"``/``None`` for auto; see
+    (``"reference"``/``"fast"``/``None`` for auto; see
     ``docs/backends.md``) -- results are bit-identical either way.
 
     Returns a :class:`CompressionFlowResult`.

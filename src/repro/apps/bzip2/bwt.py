@@ -8,7 +8,7 @@ tracked secrets, each bucket access indexes an array with a secret --
 an 8-bit implicit flow per byte, charged to the enclosing region
 (Section 2.2's pointer rule).  After that seeding, ranks are public
 integers already accounted for, and the prefix-doubling rounds run at
-native speed.
+plain-Python speed.
 
 The inverse transform reconstructs the block from the last column;
 together they give the round-trip property the tests check.

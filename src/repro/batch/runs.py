@@ -254,7 +254,7 @@ def measure_program_runs(source, secret_inputs, public_input=b"",
     only this batch's runs.
 
     ``backend`` selects each worker's VM execution backend
-    (``"reference"``/``"fast"``/``"native"``/``"auto"``; see
+    (``"reference"``/``"fast"``/``"auto"``; see
     ``docs/backends.md``).
     It is resolved once in the parent so every worker runs the same
     backend regardless of per-process environment.

@@ -83,12 +83,11 @@ def _add_input_flags(parser, prefix, help_noun):
 
 def _add_backend_flag(parser):
     parser.add_argument("--backend", default=None,
-                        choices=["auto", "reference", "fast", "native"],
+                        choices=["auto", "reference", "fast"],
                         help="execution backend: bit-identical results, "
                              "different speed (default: auto, or the "
-                             "REPRO_BACKEND environment variable; "
-                             "'native' needs the compiled repro._native "
-                             "extension; see docs/backends.md)")
+                             "REPRO_BACKEND environment variable; see "
+                             "docs/backends.md)")
 
 
 def _positive(convert):

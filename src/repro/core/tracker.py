@@ -552,16 +552,13 @@ class CollapsingTraceBuilder(TraceBuilder):
             that turn exact event repeats (the common case in loops)
             into capacity arithmetic, skipping label interning and
             union-find work that is provably a no-op.  ``None``/
-            ``"auto"`` consult ``REPRO_BACKEND`` and auto-detection.
+            ``"auto"`` consult ``REPRO_BACKEND``, then ``"fast"``.
             Both backends are bit-identical (see ``docs/backends.md``
             and the equivalence suite).
     """
 
     def __init__(self, context_sensitive=True, backend=None):
-        # The native backend's tracker-side behaviour IS the fast
-        # backend: its compiled kernels live in the frontends and the
-        # solver, while the repeat-event caches here are shared.
-        self._fast = resolve_backend(backend) in ("fast", "native")
+        self._fast = resolve_backend(backend) == "fast"
         #: (location, tail node, target node, ctx) -> implicit bucket
         self._implicit_cache = {}
         #: (location, ctx) -> _OpSite

@@ -14,7 +14,6 @@ from collections import deque
 
 from .. import obs
 from ..errors import GraphError
-from ..shadow.fast import native_kernels, resolve_backend
 from .flowgraph import INF
 
 
@@ -160,7 +159,7 @@ def _apply_warm_start(graph, net, warm_start):
     return carried
 
 
-def dinic_max_flow(graph, warm_start=None, backend=None):
+def dinic_max_flow(graph, warm_start=None):
     """Compute the maximum s-t flow of ``graph`` with Dinic's algorithm.
 
     Returns ``(value, residual)`` where ``residual`` is the saturated
@@ -179,27 +178,13 @@ def dinic_max_flow(graph, warm_start=None, backend=None):
     start that cannot be reused falls back to a cold solve and counts
     ``maxflow.warm_start.fallbacks``.
 
-    ``backend`` follows the registry in :mod:`repro.shadow.fast`: under
-    ``"native"`` (what ``"auto"`` resolves to when the compiled
-    :mod:`repro._native` extension is importable) the BFS-level +
-    blocking-flow loop runs as a C kernel over the same forward-star
-    arrays -- an exact mirror, so values, residual capacities, cuts,
-    and even the phase/path counters are bit-identical.  Warm-start
-    application stays in Python (it reads edge labels); the kernel
-    receives the pre-seeded residual.  A graph whose capacities exceed
-    int64 falls back to the Python loop for that solve and counts
-    ``maxflow.native.fallbacks``.
-
     With observability enabled, accounts wall time to ``phase.solve``,
     reports ``maxflow.dinic.bfs_phases`` / ``.augmenting_paths`` (and
-    the ``maxflow.warm_start.*`` / ``maxflow.native.*`` counters), and
-    fills the ``maxflow.dinic.path_length`` histogram; with tracing
-    enabled, the solve runs under a ``solve.dinic`` span.
+    the ``maxflow.warm_start.*`` counters), and fills the
+    ``maxflow.dinic.path_length`` histogram; with tracing enabled, the
+    solve runs under a ``solve.dinic`` span.
     """
     metrics = obs.get_metrics()
-    kern = None
-    if resolve_backend(backend) == "native":
-        kern = native_kernels()
     net = ResidualNetwork(graph)
     s, t = net.source, net.sink
     if s == t:
@@ -293,36 +278,14 @@ def dinic_max_flow(graph, warm_start=None, backend=None):
     with obs.get_tracer().span("solve.dinic", nodes=graph.num_nodes,
                                edges=graph.num_edges) as span:
         with metrics.phase("solve"):
-            solved = None
-            if kern is not None:
-                # The C kernel mirrors the loop below arc for arc over
-                # the same forward-star arrays (docs/backends.md) and
-                # writes the saturated capacities back into net.cap; it
-                # returns None -- fall through to the Python loop --
-                # when a capacity does not fit in int64.
-                solved = kern.dinic(n, s, t, net.first, net.nxt,
-                                    net.head, net.cap, carried, INF,
-                                    1 if record_paths else 0)
-                if metrics.enabled:
-                    metrics.incr("maxflow.native.solves"
-                                 if solved is not None
-                                 else "maxflow.native.fallbacks")
-                if solved is None:
-                    obs.get_event_log().event("backend.fallback",
-                                              kind="maxflow.native")
-            if solved is not None:
-                total, bfs_phases, aug_paths, lengths = solved
-                if lengths is not None:
-                    path_lengths = lengths
-            else:
-                while bfs():
-                    bfs_phases += 1
-                    for i in range(n):
-                        it[i] = first[i]
-                    total += blocking_flow()
-                    if total >= INF:
-                        total = INF
-                        break
+            while bfs():
+                bfs_phases += 1
+                for i in range(n):
+                    it[i] = first[i]
+                total += blocking_flow()
+                if total >= INF:
+                    total = INF
+                    break
         span.set(value=total)
     if metrics.enabled:
         metrics.incr("maxflow.solves")

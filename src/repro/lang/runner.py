@@ -89,7 +89,7 @@ def execute(compiled, secret_input=b"", public_input=b"", tracker=None,
     wall-clock time (enforced in the VM step loop, raising
     :class:`~repro.errors.VMTimeout`); either may be ``None``.
     ``backend`` selects the VM's execution backend
-    (``"reference"``/``"fast"``/``"native"``/``"auto"``; see
+    (``"reference"``/``"fast"``/``"auto"``; see
     ``docs/backends.md``).
     """
     tracker = tracker if tracker is not None else TraceBuilder()

@@ -277,13 +277,11 @@ class VM:
             Enforced in the step loop every
             :data:`DEADLINE_POLL_STEPS` steps, raising
             :class:`~repro.errors.VMTimeout`.
-        backend: ``"reference"``, ``"fast"``, ``"native"``, or
-            ``"auto"``/``None`` (consult ``REPRO_BACKEND``, then
-            auto-detect).  The fast backend swaps in compiled
-            per-instruction BINOP evaluators and batched array I/O;
-            the VM runs ``"native"`` exactly like ``"fast"`` (its
-            compiled kernel is the max-flow solve).  Results are
-            bit-identical to the reference (see ``docs/backends.md``).
+        backend: ``"reference"``, ``"fast"``, or ``"auto"``/``None``
+            (consult ``REPRO_BACKEND``, then ``"fast"``).  The fast
+            backend swaps in compiled per-instruction BINOP evaluators
+            and batched array I/O.  Results are bit-identical to the
+            reference (see ``docs/backends.md``).
     """
 
     def __init__(self, program, tracker, secret_input=b"", public_input=b"",
@@ -293,11 +291,8 @@ class VM:
         self.program = program
         self.tracker = tracker
         self.backend = resolve_backend(backend)
-        if self.backend in ("fast", "native"):
-            # The VM's hot loop is the compiled-evaluator BINOP cache,
-            # shared by the fast and native backends; the native
-            # backend's compiled kernels take over at the max-flow
-            # solve (graph.maxflow) below this frontend.
+        if self.backend == "fast":
+            # The VM's hot loop is the compiled-evaluator BINOP cache.
             self._binop = self._binop_fast
         self.secret_input = bytes(secret_input)
         self.public_input = bytes(public_input)
@@ -793,7 +788,7 @@ class VM:
         stream = self.secret_input if secret else self.public_input
         pos = self._secret_pos if secret else self._public_pos
         count = min(max_count, array.length, len(stream) - pos)
-        if secret and count > 1 and self.backend in ("fast", "native"):
+        if secret and count > 1 and self.backend == "fast":
             secret_values = getattr(self.tracker, "secret_values", None)
             if secret_values is not None:
                 return self._read_into_array_bulk(loc, array, stream, pos,
@@ -875,7 +870,7 @@ class VM:
         if not isinstance(array, ArrayObject):
             raise VMError("output source is not an array", loc)
         count = min(count, array.length)
-        if (count > 1 and self.backend in ("fast", "native")
+        if (count > 1 and self.backend == "fast"
                 and (self.lazy is None or not len(self.lazy))):
             # Fast backend, no deferred region updates pending: batch the
             # output without per-element lazy checks.  Same outputs, same

@@ -99,14 +99,6 @@ def _specs():
          "(secret_values batches, bulk array reads/writes)"),
         (c, "shadow.fast.batch_values", "values", "experimental",
          "individual values processed through fast-backend bulk calls"),
-        # Native backend (repro._native compiled kernels).
-        (c, "shadow.native.kernel_calls", "calls", "experimental",
-         "compiled shadow-kernel invocations (fused binary-op "
-         "evaluate+transfer calls by native-backend sessions)"),
-        (c, "shadow.native.fallbacks", "calls", "experimental",
-         "native shadow-kernel calls that punted to the pure-Python "
-         "kernels (operands or widths beyond the machine-word fast "
-         "path)"),
         # Collapsing (repro.graph.collapse).
         (c, "collapse.runs", "calls", "stable",
          "collapse/combine invocations"),
@@ -151,12 +143,6 @@ def _specs():
         (c, "maxflow.warm_start.reused_bits", "bits", "experimental",
          "flow bits carried over from reused residuals instead of being "
          "re-augmented"),
-        # Native compiled solver (repro._native Dinic kernel).
-        (c, "maxflow.native.solves", "calls", "experimental",
-         "Dinic solves executed by the compiled native kernel"),
-        (c, "maxflow.native.fallbacks", "calls", "experimental",
-         "native-backend solves that fell back to the Python loop "
-         "(capacities beyond int64)"),
         # Measurement results (repro.core.measure).
         (g, "graph.nodes", "nodes", "stable",
          "node count of the most recently solved graph"),

@@ -73,8 +73,8 @@ def _event_specs():
          "the incremental Kraft accountant recorded an anytime-bound "
          "trail point"),
         ("backend.fallback", "experimental",
-         "a native or warm-start code path punted to the plain Python "
-         "implementation"),
+         "a warm-start solve could not reuse its prior residual and "
+         "fell back to a cold solve"),
         ("export.flush_error", "experimental",
          "one telemetry flush failed; the exporter keeps running"),
         ("queue.submit", "experimental",

@@ -29,7 +29,6 @@ from ..core.tracker import PUBLIC, CollapsingTraceBuilder, TraceBuilder
 from ..errors import TraceError
 from ..graph.flowgraph import INF
 from ..shadow import resolve_backend, transfer
-from ..shadow.fast import native_kernels
 from ..shadow.bitmask import width_mask
 from .values import SecretInt, _WidthInt, concrete_of, mask_of, width_of
 
@@ -229,17 +228,12 @@ class Session:
             merges by (location, calling-context hash), ``"location"``
             by location only, so the live graph stays coverage-sized on
             long runs.  Mutually exclusive with ``tracker``.
-        backend: ``"reference"``, ``"fast"``, ``"native"``, or
-            ``"auto"``/``None`` (consult ``REPRO_BACKEND``, then
-            auto-detect).  The fast backend swaps in dict-dispatched
-            operator evaluation, inlined call-site lookup, and bulk
-            secret introduction.  The native backend is the fast
-            backend with the compiled :mod:`repro._native` kernel in
-            its binary-op slot, evaluating each operation and its
-            transfer function in one call (operands outside the
-            machine-word fast path fall back to the pure pairs,
-            counted as ``shadow.native.fallbacks``).  Reports are
-            bit-identical across backends (see ``docs/backends.md``).
+        backend: ``"reference"``, ``"fast"``, or ``"auto"``/``None``
+            (consult ``REPRO_BACKEND``, then ``"fast"``).  The fast
+            backend swaps in dict-dispatched operator evaluation,
+            inlined call-site lookup, and bulk secret introduction.
+            Reports are bit-identical across backends (see
+            ``docs/backends.md``).
     """
 
     def __init__(self, tracker=None, interceptor=None, online_collapse=None,
@@ -260,11 +254,7 @@ class Session:
         self.backend = resolve_backend(backend)
         self._location_sites = {}
         self._fused_sites = {}
-        # The native backend's compiled evaluate+transfer kernel; the
-        # fast binary op calls it when set and otherwise evaluates the
-        # pure-Python pairs.
-        self._nk_binary = None
-        if self.backend in ("fast", "native"):
+        if self.backend == "fast":
             # Bound-method swap: callers (SecretInt dunders, user code)
             # keep identical call depths, so location derivation is
             # unchanged.
@@ -274,10 +264,6 @@ class Session:
                 # Checking trackers have no bulk entry point and keep
                 # the reference per-byte loop.
                 self.secret_bytes = self._secret_bytes_fast
-            kern = native_kernels() if self.backend == "native" else None
-            if kern is not None:
-                self._nk_binary = kern.binary_kernel
-                self._nk_op_ids = kern.OP_IDS
             if isinstance(self.tracker, TraceBuilder):
                 # These inline the TraceBuilder delegations (indexed /
                 # branch are defined as implicit_flow calls), so they
@@ -299,8 +285,6 @@ class Session:
         self._shadow_ops = 0
         self._implicit_events = 0
         self._max_region_depth = 0
-        self._native_calls = 0
-        self._native_fallbacks = 0
         # Session lifetime, recorded retroactively as a pytrace.session
         # span at finish() (the span covers __init__ through finish).
         self._t0_epoch = time.time()
@@ -469,7 +453,7 @@ class Session:
         return SecretInt(self, value, result_width, mask, prov)
 
     def _binary_op_fast(self, op, a, b, reflected=False):
-        """Fast- and native-backend :meth:`binary_op`.
+        """Fast-backend :meth:`binary_op`.
 
         Identical results to the reference: same concrete values, same
         transfer masks, same tracker events.  The speedups are dict
@@ -478,14 +462,6 @@ class Session:
         when both operands are public (it returns 0 there), and
         skipping result-width computation for comparisons (their
         result is 1-bit, and ``transfer_compare`` ignores the width).
-
-        Under the native backend the ``_nk_binary`` slot holds the
-        compiled :mod:`repro._native` kernel, which evaluates the op and
-        its transfer function in one call.  Operands or widths outside
-        its machine-word fast path, and division by zero, return
-        ``None`` and take the pure-Python pairs (counted as
-        ``shadow.native.fallbacks``), so every exception is raised by
-        the same code as the reference.
         """
         if reflected:
             a, b = b, a
@@ -500,33 +476,19 @@ class Session:
             bv, bm = b.value, b.mask
         else:
             bv, bm = int(b), 0
-        kernel = self._nk_binary
         pair = _CMP_PAIRS.get(op)
         if pair is not None:
             width = 1
-            res = None if kernel is None else kernel(
-                self._nk_op_ids[op], av, am, bv, bm, 1)
-            if res is None:
-                value = int(pair[0](av, bv))
-                mask = (pair[1](av, am, bv, bm, 1) & 1) if am or bm else 0
+            value = int(pair[0](av, bv))
+            mask = (pair[1](av, am, bv, bm, 1) & 1) if am or bm else 0
         else:
             pair = _BIN_PAIRS.get(op)
             if pair is None:
                 raise TraceError("unsupported operation %r" % op)
             width = self._result_width(op, a, b, av, bv)
-            res = None if kernel is None else kernel(
-                self._nk_op_ids[op], av, am, bv, bm, width)
-            if res is None:
-                w = width_mask(width)
-                value = pair[0](av, bv, w)
-                mask = (pair[1](av, am, bv, bm, width) & w) if am or bm \
-                    else 0
-        if kernel is not None:
-            self._native_calls += 1
-            if res is None:
-                self._native_fallbacks += 1
-            else:
-                value, mask = res
+            w = width_mask(width)
+            value = pair[0](av, bv, w)
+            mask = (pair[1](av, am, bv, bm, width) & w) if am or bm else 0
         if am == 0 and bm == 0 and self.interceptor is None:
             return value
         # Inline _caller_location_fast (same frame as the reference's
@@ -809,16 +771,6 @@ class Session:
             metrics.incr("pytrace.implicit_events", self._implicit_events)
             metrics.gauge_max("pytrace.enclosure_depth_max",
                               self._max_region_depth)
-            if self._native_calls:
-                metrics.incr("shadow.native.kernel_calls",
-                             self._native_calls)
-            if self._native_fallbacks:
-                metrics.incr("shadow.native.fallbacks",
-                             self._native_fallbacks)
-        if self._native_fallbacks:
-            obs.get_event_log().event("backend.fallback",
-                                      kind="shadow.native",
-                                      count=self._native_fallbacks)
         result = self.tracker.finish(exit_observable=exit_observable)
         obs.get_tracer().record(
             "pytrace.session", self._t0_epoch,

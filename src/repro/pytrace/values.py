@@ -15,7 +15,7 @@ operation to the session's tracker:
   rule.
 
 Results whose mask becomes fully public are returned as plain ``int``,
-so untainted computation continues at native speed.
+so untainted computation continues at plain-Python speed.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ class SecretInt:
         return self.value
 
     def __repr__(self):
-        return "SecretInt(%d, width=%d, secret_bits=%d)" % (
-            self.value, self.width, self.secret_bits)
+        return "SecretInt(width=%d, secret_bits=%d)" % (
+            self.width, self.secret_bits)
 
     # ------------------------------------------------------------------
     # Implicit-flow surfaces
@@ -175,6 +175,24 @@ class SecretInt:
 
     def __ge__(self, other):
         return self._binary(other, "uge")
+
+    # ------------------------------------------------------------------
+    # Text and serialization.  A secret's text reveals every secret bit,
+    # so formatting is charged like an index; ``__repr__`` shows only
+    # the width and the secret-bit count, which depend on public values
+    # alone (docs/semantics.md).
+
+    def __str__(self):
+        self.session.index_on(self)
+        return str(self.value)
+
+    def __format__(self, spec):
+        self.session.index_on(self)
+        return format(self.value, spec)
+
+    def __reduce_ex__(self, protocol):
+        # Pickling or copying would carry the value out untracked.
+        raise TypeError("a SecretInt cannot be pickled or copied")
 
 
 def concrete_of(value):

@@ -1,7 +1,7 @@
 """Admission control and backpressure for the measurement service.
 
 A measurement job is expensive (instrumented execution is orders of
-magnitude slower than native), so the worst thing the daemon can do
+magnitude slower than uninstrumented), so the worst thing the daemon can do
 under load is accept work it cannot drain: queue latency grows without
 bound and every tenant's jobs get slower together.  The controller
 instead answers ``POST /v1/jobs`` with an explicit refusal — HTTP 429

@@ -61,17 +61,17 @@ import weakref
 
 from .. import obs
 from ..batch.engine import PENDING, BatchEngine, FaultPolicy, JobFailure
-from ..batch.runs import _combine, _trace_run_job
+from ..batch.runs import BATCH_COLLAPSE_MODES, _combine, _trace_run_job
 from ..core.combine import IncrementalKraft
 from ..core.policy import CutPolicy
 from ..errors import ServeError
 from ..graph.flowgraph import INF
-from ..shadow import resolve_backend
+from ..shadow import BACKENDS, resolve_backend
 from ..store import ShardStore
 from .admission import AdmissionController
 from .queue import JobQueue
 
-_COLLAPSE_MODES = ("context", "location")
+_BACKEND_CHOICES = ("auto",) + BACKENDS
 _MAX_RUNS = 4096
 
 #: Daemons between :meth:`MeasurementDaemon.start` and ``stop``.
@@ -144,12 +144,13 @@ def validate_spec(spec):
         except (TypeError, ValueError):
             raise ValueError("spec.public_hex must be a hex string")
     collapse = spec.get("collapse", "context")
-    if collapse not in _COLLAPSE_MODES:
+    if collapse not in BATCH_COLLAPSE_MODES:
         raise ValueError("spec.collapse must be one of %r"
-                         % (_COLLAPSE_MODES,))
+                         % (BATCH_COLLAPSE_MODES,))
     backend = spec.get("backend")
-    if backend is not None and not isinstance(backend, str):
-        raise ValueError("spec.backend must be a string or null")
+    if backend is not None and backend not in _BACKEND_CHOICES:
+        raise ValueError("spec.backend must be null or one of %r"
+                         % (_BACKEND_CHOICES,))
     max_steps = spec.get("max_steps")
     if max_steps is not None:
         if not isinstance(max_steps, int) or max_steps < 1:

@@ -8,8 +8,7 @@ graph.
 
 from .bitmask import (is_secret, lowest_set_bit, popcount, spread_left,
                       truncate, width_mask)
-from .fast import (BACKENDS, detect_backend, native_available,
-                   resolve_backend)
+from .fast import BACKENDS, resolve_backend
 from .transfer import (BINARY, COMPARISONS, UNARY, binary_mask,
                        transfer_select, transfer_sext, transfer_trunc,
                        transfer_zext, unary_mask)
@@ -17,7 +16,7 @@ from .transfer import (BINARY, COMPARISONS, UNARY, binary_mask,
 __all__ = [
     "is_secret", "lowest_set_bit", "popcount", "spread_left", "truncate",
     "width_mask",
-    "BACKENDS", "detect_backend", "resolve_backend", "native_available",
+    "BACKENDS", "resolve_backend",
     "BINARY", "COMPARISONS", "UNARY", "binary_mask", "unary_mask",
     "transfer_select", "transfer_sext", "transfer_trunc", "transfer_zext",
 ]

@@ -18,7 +18,6 @@ from repro.graph.generators import (grid_graph, layered_dag, random_dag,
                                     series_parallel)
 from repro.graph.maxflow import WarmStart, dinic_max_flow
 
-from .test_warm_start import SOLVER_BACKENDS
 
 
 def brute_min_cut(g):
@@ -152,14 +151,10 @@ class TestResidualAccounting:
             dinic_max_flow(bad)
 
 
-def assert_matches_oracle(g, warm_starts=None):
-    """Dinic's value and canonical source side equal the oracle's under
-    every backend (the oracle, the expensive half, runs once)."""
-    expected = brute_min_cut(g)
-    for backend in SOLVER_BACKENDS:
-        warm = warm_starts[backend] if warm_starts else None
-        value, net = dinic_max_flow(g, warm_start=warm, backend=backend)
-        assert (value, net.source_side()) == expected, backend
+def assert_matches_oracle(g, warm_start=None):
+    """Dinic's value and canonical source side equal the oracle's."""
+    value, net = dinic_max_flow(g, warm_start=warm_start)
+    assert (value, net.source_side()) == brute_min_cut(g)
 
 
 def grown_pair(g, seed):
@@ -181,7 +176,7 @@ def grown_pair(g, seed):
 
 
 class TestCrossValidation:
-    """Dinic against :func:`brute_min_cut`, under every solver backend."""
+    """Dinic against :func:`brute_min_cut`."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_dags_agree(self, seed):
@@ -194,8 +189,7 @@ class TestCrossValidation:
     @pytest.mark.parametrize("seed", range(8))
     def test_series_parallel_known_flow(self, seed):
         g, expected = series_parallel(6, seed=seed)
-        for backend in SOLVER_BACKENDS:
-            assert dinic_max_flow(g, backend=backend)[0] == expected
+        assert dinic_max_flow(g)[0] == expected
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6), nodes=st.integers(1, 10),
@@ -208,14 +202,11 @@ class TestCrossValidation:
            edges=st.integers(0, 30))
     def test_warm_start_agrees(self, seed, nodes, edges):
         small, big = grown_pair(random_dag(nodes, edges, seed=seed), seed)
-        warm_starts = {}
-        for backend in SOLVER_BACKENDS:
-            _, net = dinic_max_flow(small, backend=backend)
-            warm_starts[backend] = WarmStart(small, net)
+        _, net = dinic_max_flow(small)
         obs.enable()
         try:
-            assert_matches_oracle(big, warm_starts)
+            assert_matches_oracle(big, WarmStart(small, net))
             hits = obs.get_metrics().snapshot()["maxflow.warm_start.hits"]
         finally:
             obs.disable()
-        assert hits == len(SOLVER_BACKENDS)
+        assert hits == 1

@@ -28,16 +28,7 @@ from repro.graph.mincut import min_cut_from_residual
 from repro.graph.serialize import dump_graph
 from repro.lang import execute as lang_execute
 from repro.lang import compile_cached
-from repro.shadow import native_available
-
-needs_native = pytest.mark.skipif(
-    not native_available(),
-    reason="compiled repro._native extension not built here")
-
-#: Solver backends available here; the warm-start contract must hold
-#: identically under each of them.
-SOLVER_BACKENDS = ("reference", "fast") + \
-    (("native",) if native_available() else ())
+from repro.shadow import BACKENDS
 
 
 BRANCHY = """
@@ -65,7 +56,7 @@ def graph_text(graph):
     return buffer.getvalue()
 
 
-def trace_graphs(seed, count, source=BRANCHY):
+def trace_graphs(seed, count, source=BRANCHY, backend=None):
     rng = random.Random(seed)
     compiled = compile_cached(source)
     graphs = []
@@ -73,7 +64,8 @@ def trace_graphs(seed, count, source=BRANCHY):
         secret = bytes(rng.randrange(256)
                        for _ in range(rng.randrange(1, 24)))
         tracker = TraceBuilder()
-        _vm, graph = lang_execute(compiled, secret, tracker=tracker)
+        _vm, graph = lang_execute(compiled, secret, tracker=tracker,
+                                  backend=backend)
         graphs.append(graph)
     return graphs
 
@@ -120,9 +112,10 @@ class TestRepeatEdge:
 
 class TestWarmStartSolve:
     @pytest.mark.parametrize("seed", [31, 32, 33])
-    @pytest.mark.parametrize("backend", SOLVER_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_incremental_value_matches_cold(self, seed, backend):
-        graphs = trace_graphs(seed, 6)
+        # The contract holds on graphs traced under either backend.
+        graphs = trace_graphs(seed, 6, backend=backend)
         from repro.graph.collapse import collapse_graphs
 
         warm = None
@@ -131,8 +124,7 @@ class TestWarmStartSolve:
             pair = [combined, graph] if combined is not None else [graph]
             combined, _ = collapse_graphs(pair)
             warm_value, warm_net = dinic_max_flow(combined,
-                                                  warm_start=warm,
-                                                  backend=backend)
+                                                  warm_start=warm)
             cold_value, cold_net = dinic_max_flow(combined)
             assert warm_value == cold_value
             assert warm_net.source_side() == cold_net.source_side()
@@ -140,35 +132,6 @@ class TestWarmStartSolve:
             cold_cut = min_cut_from_residual(combined, cold_net)
             assert warm_cut.capacity == cold_cut.capacity == warm_value
             warm = WarmStart(combined, warm_net)
-
-    @needs_native
-    @pytest.mark.parametrize("seed", [36, 37])
-    def test_native_warm_start_residual_identical(self, seed):
-        # Bit-identity under warm start: the native kernel receives the
-        # pre-seeded residual and must saturate it exactly like the
-        # Python loop -- same value, same residual capacities, so the
-        # same canonical cut.
-        graphs = trace_graphs(seed, 4)
-        from repro.graph.collapse import collapse_graphs
-
-        nets = {}
-        for backend in ("fast", "native"):
-            warm = None
-            combined = None
-            for graph in graphs:
-                pair = [combined, graph] if combined is not None \
-                    else [graph]
-                combined, _ = collapse_graphs(pair)
-                value, net = dinic_max_flow(combined, warm_start=warm,
-                                            backend=backend)
-                warm = WarmStart(combined, net)
-            nets[backend] = (value, net.cap, net.source_side(), combined)
-        fast_value, fast_cap, fast_side, fast_graph = nets["fast"]
-        nat_value, nat_cap, nat_side, nat_graph = nets["native"]
-        assert nat_value == fast_value
-        assert nat_cap == fast_cap
-        assert nat_side == fast_side
-        assert graph_text(nat_graph) == graph_text(fast_graph)
 
     def test_unrelated_graph_falls_back_cold(self):
         graphs = trace_graphs(41, 2)

@@ -28,8 +28,7 @@ from repro.graph.serialize import graph_digest
 from repro.lang import compile_source, execute, lockstep, measure
 from repro.lang.vm import DEADLINE_POLL_STEPS, VM, NullTracker
 
-#: The loop is shared, so each pin must hold on every Python backend
-#: (``native`` runs the VM exactly like ``fast``).
+#: The loop is shared, so each pin must hold on both backends.
 BACKENDS = ("reference", "fast")
 
 COUNTPUNCT_TEXT = (b"Is it? Yes. No... maybe? Fine. Why? Because. "

@@ -5,9 +5,9 @@ event counters on every measurement, so taking two reports of one
 trace doubled ``trace.operations`` (the "republish wart" once
 documented in ``docs/observability.md``).  The fix is the delta ledger
 in ``TraceBuilder.publish_trace_counters``: only growth since the last
-publish is added.  These tests pin that behaviour down on every
-backend -- reference, fast, and (when built) native -- so the wart
-cannot quietly return with a new code path.
+publish is added.  These tests pin that behaviour down on both
+backends -- reference and fast -- so the wart cannot quietly return
+with a new code path.
 """
 
 import pytest
@@ -16,15 +16,10 @@ from repro import obs
 from repro.core.locations import Location
 from repro.core.tracker import CollapsingTraceBuilder, TraceBuilder
 from repro.pytrace import Session
-from repro.shadow import BACKENDS, native_available
+from repro.shadow import BACKENDS
 
 TRACE_KEYS = ("trace.operations", "trace.implicit_flows", "trace.outputs",
               "trace.secret_input_bits", "trace.tainted_output_bits")
-
-
-def available_backends():
-    return tuple(b for b in BACKENDS
-                 if b != "native" or native_available())
 
 
 def drive(builder):
@@ -86,7 +81,7 @@ class TestPublishLedger:
 
 
 class TestSessionMeasureOnce:
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_measure_publishes_each_event_once(self, backend):
         obs.enable()
         try:

@@ -1,6 +1,7 @@
 """In-process daemon + HTTP API tests (ephemeral port, no telemetry)."""
 
 import json
+import os
 import time
 import urllib.error
 import urllib.request
@@ -135,6 +136,22 @@ fn main() {
         status, doc, _ = client.request("POST", "/v1/jobs",
                                         {"program": "fn main() {}"})
         assert status == 400  # no secrets
+
+    @pytest.mark.parametrize("backend", ["bogus", "native", 7])
+    def test_unknown_backend_400_before_journal(self, service, backend):
+        daemon, client = service
+        status, doc, _ = client.request(
+            "POST", "/v1/jobs",
+            {"program": PROGRAM, "secrets": ["abcd"], "backend": backend})
+        assert status == 400
+        assert doc["error"] == "invalid_spec"
+        assert "'reference'" in doc["detail"] and "'fast'" in doc["detail"]
+        journal = os.path.join(daemon.config.state_dir, "queue.journal")
+        records = []
+        if os.path.exists(journal):
+            with open(journal) as handle:
+                records = [json.loads(line) for line in handle]
+        assert [r for r in records if r["rec"] == "submit"] == []
 
     def test_cancel_terminal_job_409(self, service):
         daemon, client = service

@@ -1,13 +1,11 @@
-"""Randomized reference ≡ fast ≡ native backend equivalence.
+"""Randomized reference ≡ fast backend equivalence.
 
-The backend contract (``docs/backends.md``): ``backend="fast"`` and
-``backend="native"`` change only how events are computed, never what
-they are.  Bounds, cuts, combined graphs, outputs, and tracker
-statistics must be bit-identical to ``backend="reference"``.  These
-suites drive randomized workloads (seeded, so failures reproduce)
-through every backend on both frontends and compare everything
-observable.  Native legs skip when the compiled ``repro._native``
-extension is absent; the pure-Python pair always runs.
+The backend contract (``docs/backends.md``): ``backend="fast"``
+changes only how events are computed, never what they are.  Bounds,
+cuts, combined graphs, outputs, and tracker statistics must be
+bit-identical to ``backend="reference"``.  These suites drive
+randomized workloads (seeded, so failures reproduce) through both
+backends on both frontends and compare everything observable.
 """
 
 import io
@@ -18,6 +16,7 @@ import pytest
 
 from repro.apps.bzip2 import measure_compression_flow
 from repro.apps.pi import workload_of_size
+from repro.cli import main as cli_main
 from repro.core.checking import CheckTracker
 from repro.core.lockstep import RecordingInterceptor, ReplayInterceptor
 from repro.core.locations import Location
@@ -31,19 +30,8 @@ from repro.lang import measure_many
 from repro.lang.vm import NullTracker
 from repro.errors import TraceError
 from repro.pytrace import SecretInt, Session
-from repro.shadow import (BACKENDS, detect_backend, native_available,
-                          resolve_backend)
-from repro.shadow import fast as fast_mod
+from repro.shadow import BACKENDS, resolve_backend
 from repro.shadow.fast import ENV_VAR
-
-needs_native = pytest.mark.skipif(
-    not native_available(),
-    reason="compiled repro._native extension not built here")
-
-
-def available_backends():
-    return tuple(b for b in BACKENDS
-                 if b != "native" or native_available())
 
 MIXED_OPS = """
 fn main() {
@@ -100,51 +88,54 @@ def random_secret(seed, length=48):
 
 class TestRegistry:
     def test_backends_tuple(self):
-        assert BACKENDS == ("reference", "fast", "native")
+        assert BACKENDS == ("reference", "fast")
 
-    def test_detect_is_valid(self):
-        assert detect_backend() in BACKENDS
+    def test_detect_is_valid(self, monkeypatch):
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        assert resolve_backend("auto") in BACKENDS
 
-    def test_detect_prefers_native_when_available(self):
-        expected = "native" if native_available() else "fast"
-        assert detect_backend() == expected
+    def test_auto_resolves_to_fast(self, monkeypatch):
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        assert resolve_backend("auto") == "fast"
 
     def test_explicit_names_pass_through(self):
         assert resolve_backend("reference") == "reference"
         assert resolve_backend("fast") == "fast"
 
-    @needs_native
-    def test_explicit_native_passes_through(self):
-        assert resolve_backend("native") == "native"
-
     def test_explicit_native_unavailable_raises(self, monkeypatch):
-        # Simulate a host without the compiled extension: the probe has
-        # run and found nothing.  Explicit requests must fail loudly
-        # (naming the fallback); "auto" must degrade silently to fast.
-        monkeypatch.setattr(fast_mod, "_NATIVE", None)
-        monkeypatch.setattr(fast_mod, "_NATIVE_PROBED", True)
+        # There is no compiled backend: "native" is an unknown name,
+        # rejected with the same error as any other, which names both
+        # real backends.  It is not an alias of "fast".
         monkeypatch.delenv(ENV_VAR, raising=False)
         with pytest.raises(ValueError) as excinfo:
             resolve_backend("native")
         message = str(excinfo.value)
-        assert "native" in message
-        assert "fast" in message
+        assert "'native'" in message
+        assert "reference/fast" in message
         assert resolve_backend("auto") == "fast"
         assert resolve_backend(None) == "fast"
 
     def test_env_native_unavailable_raises(self, monkeypatch):
         # REPRO_BACKEND=native is as explicit as backend="native".
-        monkeypatch.setattr(fast_mod, "_NATIVE", None)
-        monkeypatch.setattr(fast_mod, "_NATIVE_PROBED", True)
         monkeypatch.setenv(ENV_VAR, "native")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             resolve_backend(None)
+        assert "reference/fast" in str(excinfo.value)
+
+    def test_cli_rejects_native(self, tmp_path, capsys):
+        program = tmp_path / "p.fl"
+        program.write_text("fn main() { output(secret_u8() & 1); }\n")
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["measure", str(program), "--secret-hex", "ff",
+                      "--backend", "native"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'native'" in capsys.readouterr().err
 
     def test_none_and_auto_detect(self):
         old = os.environ.pop(ENV_VAR, None)
         try:
-            assert resolve_backend(None) == detect_backend()
-            assert resolve_backend("auto") == detect_backend()
+            assert resolve_backend(None) == "fast"
+            assert resolve_backend("auto") == "fast"
         finally:
             if old is not None:
                 os.environ[ENV_VAR] = old
@@ -175,7 +166,7 @@ class TestVMEquivalence:
     def test_single_run_bit_identical(self, seed, online):
         secret = random_secret(seed)
         results = {}
-        for backend in available_backends():
+        for backend in BACKENDS:
             run = lang_measure(MIXED_OPS, secret_input=secret,
                                backend=backend, online=online)
             results[backend] = (
@@ -193,7 +184,7 @@ class TestVMEquivalence:
     def test_multi_run_bit_identical(self):
         secrets = [random_secret(seed, length=24) for seed in (7, 8, 9)]
         results = {}
-        for backend in available_backends():
+        for backend in BACKENDS:
             combined, per_run = measure_many(MIXED_OPS, secrets,
                                              backend=backend)
             results[backend] = (
@@ -260,7 +251,7 @@ class TestSessionEquivalence:
         drive = drive_compressor if tracker_mode == "compressor" \
             else drive_session
         reference = drive("reference", seed, tracker_mode)
-        for backend in available_backends():
+        for backend in BACKENDS:
             if backend == "reference":
                 continue
             assert drive(backend, seed, tracker_mode) == reference, backend
@@ -268,10 +259,6 @@ class TestSessionEquivalence:
     def test_session_records_backend(self):
         assert Session(backend="fast").backend == "fast"
         assert Session(backend="reference").backend == "reference"
-
-    @needs_native
-    def test_session_records_native_backend(self):
-        assert Session(backend="native").backend == "native"
 
 
 class TestBulkSecretValues:

@@ -25,7 +25,6 @@ _FLAG = re.compile(r"(--[a-z][a-z0-9-]*)")
 _FOREIGN = {
     "--benchmark-only",  # pytest-benchmark
     "--benchmark-disable",  # pytest-benchmark
-    "--inplace",         # setuptools build_ext (the native extension)
 }
 
 
@@ -124,8 +123,8 @@ def test_backend_and_warm_start_flags_are_documented():
 
 def test_backend_flag_choices_cover_registry():
     """Every ``--backend`` flag accepts exactly the registry's backends
-    plus ``auto`` -- adding a backend (e.g. ``native``) without updating
-    the CLI, or vice versa, must fail here."""
+    plus ``auto`` -- adding or removing a backend without updating the
+    CLI and the docs, or vice versa, must fail here."""
     from repro.shadow import BACKENDS
     expected = {"auto"} | set(BACKENDS)
     parser = build_parser()
@@ -140,7 +139,9 @@ def test_backend_flag_choices_cover_registry():
     assert backend_actions, "no subcommand defines --backend"
     for action in backend_actions:
         assert set(action.choices) == expected
-    # The native backend is part of the documented surface.
-    assert "native" in BACKENDS
+    # Every backend is part of the documented surface.
     for doc in ("api.md", "backends.md"):
-        assert "native" in (ROOT / "docs" / doc).read_text(), doc
+        text = (ROOT / "docs" / doc).read_text()
+        for backend in BACKENDS:
+            assert "`%s`" % backend in text or '"%s"' % backend in text, \
+                (doc, backend)

@@ -1,6 +1,7 @@
 """Layering guard: the graph and core layers do not depend on batch,
-store, or serve, only the kernel slots reach the compiled kernels, and
-Dinic is the one max-flow solver.
+store, or serve, the graph layer does not depend on the shadow layer,
+nothing reaches for a compiled extension, and Dinic is the one max-flow
+solver.
 
 ``repro.graph`` and ``repro.core`` sit below the batch engine, the
 shard store, and the measurement service.  The only way up is one lazy
@@ -93,12 +94,6 @@ def test_importing_lower_layers_leaves_batch_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-#: The only modules that may touch the compiled kernels: the backend
-#: registry that loads them and the two kernel slots that call them.
-NATIVE_KERNEL_USERS = ["graph/maxflow.py", "pytrace/session.py",
-                       "shadow/fast.py"]
-
-
 def _package_sources():
     for root, _dirs, files in os.walk(PACKAGE_ROOT):
         for name in sorted(files):
@@ -109,9 +104,33 @@ def _package_sources():
                            ast.parse(handle.read(), path))
 
 
-def test_native_kernels_referenced_only_by_its_kernel_slots():
-    users = set()
+def _package_name(rel):
+    parts = rel[:-len(".py")].split(os.sep)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(["repro"] + parts)
+
+
+def _imports(rel, tree):
+    """Every absolute module name one source file imports."""
+    package = _package_name(rel)
+    if not rel.endswith("__init__.py"):
+        package = package.rsplit(".", 1)[0]
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += _imported_modules(node, package)
+    return names
+
+
+def test_nothing_imports_a_native_extension():
+    # The package is pure Python: no module loads repro._native or
+    # names its old kernel accessor.
+    offenders = set()
     for rel, tree in _package_sources():
+        if any(name == "repro._native" or name.startswith("repro._native.")
+               for name in _imports(rel, tree)):
+            offenders.add(rel)
         for node in ast.walk(tree):
             name = (node.id if isinstance(node, ast.Name)
                     else node.attr if isinstance(node, ast.Attribute)
@@ -119,13 +138,25 @@ def test_native_kernels_referenced_only_by_its_kernel_slots():
                                                         ast.FunctionDef))
                     else None)
             if name == "native_kernels":
-                users.add(rel)
-    assert sorted(users) == NATIVE_KERNEL_USERS
+                offenders.add(rel)
+    assert sorted(offenders) == []
+    assert not os.path.exists(os.path.join(PACKAGE_ROOT, "_native"))
+
+
+def test_graph_imports_nothing_from_shadow():
+    offenders = set()
+    for rel, tree in _package_sources():
+        if not rel.startswith("graph" + os.sep):
+            continue
+        if any(name == "repro.shadow" or name.startswith("repro.shadow.")
+               for name in _imports(rel, tree)):
+            offenders.add(rel)
+    assert sorted(offenders) == []
 
 
 def test_session_has_no_native_method_set():
-    # Native is the fast path with kernel slots filled, not a third
-    # per-backend method set.
+    # One fast method set beside the reference one, and no third
+    # per-backend set.
     tree = dict(_package_sources())["pytrace/session.py"]
     session = next(node for node in tree.body
                    if isinstance(node, ast.ClassDef)
