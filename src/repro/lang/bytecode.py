@@ -105,7 +105,8 @@ class ArrayInit:
 class Function:
     """A compiled function."""
 
-    __slots__ = ("name", "params", "num_slots", "code", "arrays", "decl_loc")
+    __slots__ = ("name", "params", "num_slots", "code", "arrays", "decl_loc",
+                 "blocks")
 
     def __init__(self, name, params, num_slots, code, arrays, decl_loc):
         self.name = name
@@ -114,6 +115,9 @@ class Function:
         self.code = code          # list of Instr
         self.arrays = arrays      # list of ArrayInit
         self.decl_loc = decl_loc
+        #: The fast backend's compiled basic blocks, built on first run
+        #: (:func:`repro.lang.blocks.compile_blocks`).
+        self.blocks = None
 
     def disassemble(self):
         """Human-readable listing, for debugging and tests."""

@@ -25,6 +25,7 @@ from ..core.tracker import PUBLIC, Provenance
 from ..errors import VMError, VMTimeout
 from ..shadow import resolve_backend, transfer
 from ..shadow.bitmask import width_mask
+from .blocks import compile_blocks
 from .bytecode import Op
 
 #: Default execution budget; loops that exceed it are reported rather
@@ -49,98 +50,6 @@ def check_budgets(max_steps=None, deadline_seconds=None):
     if deadline_seconds is not None and not deadline_seconds > 0:
         raise ValueError("deadline_seconds must be positive or None, "
                          "got %r" % (deadline_seconds,))
-
-
-def _signed_value(value, width):
-    sign = 1 << (width - 1)
-    return (value & (sign - 1)) - (value & sign)
-
-
-def _compile_binop(name, width, signed):
-    """Build a specialised evaluator for one (name, width, signed) BINOP.
-
-    The reference ``VM._eval_binop`` re-dispatches on the operation name
-    (a string-comparison chain) and recomputes the width mask on every
-    execution of every BINOP instruction.  The fast backend compiles each
-    distinct ``instr.arg`` once into a closure with the mask baked in;
-    the closures compute exactly what the reference chain computes (the
-    backend contract in ``docs/backends.md`` is bit-for-bit identity).
-
-    Returns ``(evaluator, result_width)`` where ``evaluator(av, bv, loc)``
-    yields the concrete result value; ``None`` for unknown names (the
-    caller falls back to the reference chain, which raises the right
-    :class:`~repro.errors.VMError`).
-    """
-    w = width_mask(width)
-    result_width = 1 if name in transfer.COMPARISONS else width
-    if name == "add":
-        fn = lambda av, bv, loc: (av + bv) & w
-    elif name == "sub":
-        fn = lambda av, bv, loc: (av - bv) & w
-    elif name == "mul":
-        fn = lambda av, bv, loc: (av * bv) & w
-    elif name == "and":
-        fn = lambda av, bv, loc: av & bv
-    elif name == "or":
-        fn = lambda av, bv, loc: av | bv
-    elif name == "xor":
-        fn = lambda av, bv, loc: av ^ bv
-    elif name == "shl":
-        fn = lambda av, bv, loc: (av << bv) & w if bv < 64 else 0
-    elif name == "shr":
-        fn = lambda av, bv, loc: av >> bv if bv < 64 else 0
-    elif name == "sar":
-        fn = lambda av, bv, loc: \
-            (_signed_value(av, width) >> min(bv, 63)) & w
-    elif name in ("div", "mod"):
-        def fn(av, bv, loc, _div=(name == "div")):
-            if bv == 0:
-                raise VMError("division by zero", loc)
-            if signed:
-                sa = _signed_value(av, width)
-                sb = _signed_value(bv, width)
-                if _div:
-                    quotient = abs(sa) // abs(sb)
-                    if (sa < 0) != (sb < 0):
-                        quotient = -quotient
-                    return quotient & w
-                remainder = abs(sa) % abs(sb)
-                if sa < 0:
-                    remainder = -remainder
-                return remainder & w
-            return (av // bv) & w if _div else (av % bv) & w
-    elif name == "eq":
-        fn = lambda av, bv, loc: int(av == bv)
-    elif name == "ne":
-        fn = lambda av, bv, loc: int(av != bv)
-    elif name in ("lt", "le", "gt", "ge"):
-        op = name
-        def fn(av, bv, loc, _op=op):
-            sa = _signed_value(av, width)
-            sb = _signed_value(bv, width)
-            if _op == "lt":
-                return int(sa < sb)
-            if _op == "le":
-                return int(sa <= sb)
-            if _op == "gt":
-                return int(sa > sb)
-            return int(sa >= sb)
-    elif name == "ult":
-        fn = lambda av, bv, loc: int(av < bv)
-    elif name == "ule":
-        fn = lambda av, bv, loc: int(av <= bv)
-    elif name == "ugt":
-        fn = lambda av, bv, loc: int(av > bv)
-    elif name == "uge":
-        fn = lambda av, bv, loc: int(av >= bv)
-    else:
-        return None
-    return fn, result_width
-
-
-#: Compiled BINOP evaluators keyed by the instruction's ``(name, width,
-#: signed)`` tuple -- shared across VM instances (closures are pure).
-_BINOP_CACHE = {}
 
 
 class NullTracker:
@@ -279,9 +188,10 @@ class VM:
             :class:`~repro.errors.VMTimeout`.
         backend: ``"reference"``, ``"fast"``, or ``"auto"``/``None``
             (consult ``REPRO_BACKEND``, then ``"fast"``).  The fast
-            backend swaps in compiled per-instruction BINOP evaluators
-            and batched array I/O.  Results are bit-identical to the
-            reference (see ``docs/backends.md``).
+            backend runs compiled basic blocks (:mod:`repro.lang.blocks`)
+            unless an interceptor is set, and reads secret arrays in
+            bulk.  Results are bit-identical to the reference (see
+            ``docs/backends.md``).
     """
 
     def __init__(self, program, tracker, secret_input=b"", public_input=b"",
@@ -291,9 +201,6 @@ class VM:
         self.program = program
         self.tracker = tracker
         self.backend = resolve_backend(backend)
-        if self.backend == "fast":
-            # The VM's hot loop is the compiled-evaluator BINOP cache.
-            self._binop = self._binop_fast
         self.secret_input = bytes(secret_input)
         self.public_input = bytes(public_input)
         self._secret_pos = 0
@@ -384,22 +291,96 @@ class VM:
         return frame
 
     def _execute(self):
-        """The dispatch loop: run until the entry frame returns.
+        """Run until the entry frame returns (or a budget runs out).
 
-        The eight opcodes that make up 99.7% of a countpunct run's steps
-        are inlined here in frequency order; every other opcode goes to
-        :meth:`_execute_rare`.  Every compiled function ends in RET, so
-        the loop ends exactly when the entry frame returns (or a budget
-        runs out).
+        The fast backend runs compiled basic blocks (:meth:`_run_blocks`);
+        the reference backend, and any VM with a lockstep interceptor,
+        runs the step-exact interpreter (:meth:`_interpret`) alone.
+        """
+        # The budget and the deadline are both checked only once
+        # ``steps`` reaches ``_check_at``: the step past the budget, or
+        # the next multiple of DEADLINE_POLL_STEPS when a deadline is set.
+        self._deadline = None
+        self._check_at = self.max_steps + 1
+        if self.deadline_seconds is not None:
+            self._deadline = time.monotonic() + self.deadline_seconds
+            self._check_at = min(self._check_at,
+                                 (self.steps | (DEADLINE_POLL_STEPS - 1)) + 1)
+        if self.backend == "fast" and self.interceptor is None:
+            self._run_blocks()
+        else:
+            self._interpret()
+
+    def _check_budget(self, steps):
+        """Raise if ``steps`` is past a budget; else set the next check.
+
+        Called once ``steps`` reaches ``_check_at``, after that step.
+        """
+        if steps > self.max_steps:
+            raise VMError("execution budget exceeded (%d steps)"
+                          % self.max_steps)
+        # Within budget, so this is a deadline poll.
+        if time.monotonic() > self._deadline:
+            raise VMTimeout(
+                "wall-clock deadline exceeded (%.3fs budget, %d steps)"
+                % (self.deadline_seconds, steps),
+                deadline_seconds=self.deadline_seconds, steps=steps)
+        self._check_at = min(self.max_steps + 1,
+                             steps + DEADLINE_POLL_STEPS)
+
+    def _run_blocks(self):
+        """The fast backend's dispatch loop: one basic block per iteration.
+
+        Each pc the loop reaches starts a block or holds an instruction
+        that gets none (see :mod:`repro.lang.blocks`).  A block runs
+        whole when it ends before ``_check_at``.  The interpreter runs
+        the rest, stopping after the same instructions: a block that
+        would reach a budget check or deadline poll, step by step, and
+        an instruction without a block (a frame switch), alone.
+        """
+        frames = self._frames
+        interpret = self._interpret
+        while frames:
+            frame = frames[-1]
+            blocks = frame.function.blocks or compile_blocks(frame.function)
+            stack = frame.stack
+            slots = frame.slots
+            pc = frame.pc
+            steps = self.steps
+            check_at = self._check_at
+            while True:
+                entry = blocks[pc]
+                if entry is None:
+                    length = 1
+                    break
+                block, length = entry
+                if steps + length >= check_at:
+                    break
+                # A raising block adds its finished instructions.
+                self.steps = steps
+                pc = block(self, frame, stack, slots)
+                steps += length
+            frame.pc = pc
+            self.steps = steps
+            interpret(steps + length)
+
+    def _interpret(self, limit=None):
+        """The step-exact interpreter: one instruction per iteration.
+
+        Runs until the entry frame returns, or, given ``limit``, until
+        ``steps`` reaches it.  The eight opcodes that make up 99.7% of a
+        countpunct run's steps are inlined here in frequency order;
+        every other opcode goes to :meth:`_execute_rare`.
         """
         # Write-back contract.  The current frame's code, stack, slots
         # and pc, and the step count, live in locals.  ``frame.pc`` is
         # written back before every ``_execute_rare`` call (the only code
-        # that switches frames), and all frame state is reloaded from
-        # ``self._frames[-1]`` after it.  ``self.steps`` is written back
-        # in the ``finally``, so it is exact however the loop ends: a
-        # budget or deadline error counts the step that crossed the
-        # budget, and an instruction that raises is not counted.
+        # that switches frames) and when ``limit`` stops the loop, and
+        # all frame state is reloaded from ``self._frames[-1]`` after a
+        # rare opcode.  ``self.steps`` is written back in the
+        # ``finally``, so it is exact however the loop ends: a budget or
+        # deadline error counts the step that crossed the budget, and an
+        # instruction that raises is not counted.
         CONST, LOAD, STORE, BINOP = Op.CONST, Op.LOAD, Op.STORE, Op.BINOP
         JZ, JMP, AREF, ALOAD = Op.JZ, Op.JMP, Op.AREF, Op.ALOAD
         public = PUBLIC
@@ -411,17 +392,13 @@ class VM:
         frames = self._frames
         regions = self._regions
         globals_ = self.globals
-        max_steps = self.max_steps
-        deadline = None
-        if self.deadline_seconds is not None:
-            deadline = time.monotonic() + self.deadline_seconds
+        if limit is None:
+            # The budget check raises first, so this never stops the loop.
+            limit = self.max_steps + 1
         steps = self.steps
-        # The budget and the deadline are both checked only once
-        # ``steps`` reaches ``check_at``: the step past the budget, or
-        # the next multiple of DEADLINE_POLL_STEPS when a deadline is set.
-        check_at = max_steps + 1
-        if deadline is not None:
-            check_at = min(check_at, (steps | (DEADLINE_POLL_STEPS - 1)) + 1)
+        check_at = self._check_at
+        # One comparison per step covers the checks and the limit.
+        stop = min(check_at, limit)
         frame = frames[-1]
         code = frame.function.code
         stack = frame.stack
@@ -474,18 +451,14 @@ class VM:
                         slots = frame.slots
                         pc = frame.pc
                 steps += 1
-                if steps >= check_at:
-                    if steps > max_steps:
-                        raise VMError("execution budget exceeded (%d steps)"
-                                      % max_steps)
-                    # Within budget, so this is a deadline poll.
-                    if time.monotonic() > deadline:
-                        raise VMTimeout(
-                            "wall-clock deadline exceeded (%.3fs budget, "
-                            "%d steps)" % (self.deadline_seconds, steps),
-                            deadline_seconds=self.deadline_seconds,
-                            steps=steps)
-                    check_at = min(max_steps + 1, steps + DEADLINE_POLL_STEPS)
+                if steps >= stop:
+                    if steps >= check_at:
+                        self._check_budget(steps)
+                        check_at = self._check_at
+                    if steps >= limit:
+                        frame.pc = pc
+                        return
+                    stop = min(check_at, limit)
         finally:
             self.steps = steps
 
@@ -508,9 +481,9 @@ class VM:
             if self._regions:
                 self._note_write(("global", 0, instr.arg))
         elif op == Op.UNOP:
-            self._unop(instr, stack)
+            stack.append(self._unop(instr, stack.pop()))
         elif op == Op.CAST:
-            self._cast(instr, stack)
+            stack.append(self._cast(instr, stack.pop()))
         elif op == Op.CALL:
             self._call(instr, frame)
         elif op == Op.CALLB:
@@ -530,10 +503,8 @@ class VM:
             # enclosure region is region-local and needs no output
             # annotation (it cannot be read after the region).
             frame.slots[instr.arg] = stack.pop()
-            for region in self._regions:
-                if region.checker is not None:
-                    region.checker.declare_local(
-                        ("local", frame.frame_id, instr.arg))
+            if self._regions:
+                self._declare_local(("local", frame.frame_id, instr.arg))
         elif op == Op.DECLARR:
             slot, data = instr.arg
             array = frame.slots[slot]
@@ -569,39 +540,6 @@ class VM:
             stack.append(self._intercept_value(instr, (value, 0, PUBLIC),
                                                result_width))
             return
-        mask = transfer.binary_mask(name, a[0], a[1], b[0], b[1], width)
-        mask &= width_mask(result_width)
-        if mask == 0:
-            stack.append(self._intercept_value(instr, (value, 0, PUBLIC),
-                                               result_width))
-            return
-        prov = self.tracker.operation(instr.loc, mask, [a[2], b[2]])
-        stack.append(self._intercept_value(instr, (value, mask, prov),
-                                           result_width))
-
-    def _binop_fast(self, instr, stack):
-        """BINOP via the compiled-evaluator cache (fast backend).
-
-        Bit-identical to :meth:`_binop`: same values, same transfer
-        masks, same tracker events -- only the concrete evaluation is
-        specialised per distinct ``instr.arg``.
-        """
-        entry = _BINOP_CACHE.get(instr.arg)
-        if entry is None:
-            entry = _compile_binop(*instr.arg)
-            if entry is None:
-                # Unknown op: the reference chain raises the right error.
-                return VM._binop(self, instr, stack)
-            _BINOP_CACHE[instr.arg] = entry
-        fn, result_width = entry
-        b = stack.pop()
-        a = stack.pop()
-        value = fn(a[0], b[0], instr.loc)
-        if a[1] == 0 and b[1] == 0:
-            stack.append(self._intercept_value(instr, (value, 0, PUBLIC),
-                                               result_width))
-            return
-        name, width, _signed = instr.arg
         mask = transfer.binary_mask(name, a[0], a[1], b[0], b[1], width)
         mask &= width_mask(result_width)
         if mask == 0:
@@ -670,9 +608,9 @@ class VM:
         sign = 1 << (width - 1)
         return (value & (sign - 1)) - (value & sign)
 
-    def _unop(self, instr, stack):
+    def _unop(self, instr, a):
+        """The result triple of UNOP ``instr`` on operand ``a``."""
         name, width, _signed = instr.arg
-        a = stack.pop()
         w = width_mask(width)
         if name == "neg":
             value = (-a[0]) & w
@@ -681,29 +619,22 @@ class VM:
         else:  # lnot
             value = 0 if a[0] else 1
         if a[1] == 0:
-            stack.append(self._intercept_value(instr, (value, 0, PUBLIC),
-                                               width))
-            return
+            return self._intercept_value(instr, (value, 0, PUBLIC), width)
         mask = transfer.unary_mask(name, a[0], a[1], width)
         if mask == 0:
-            stack.append(self._intercept_value(instr, (value, 0, PUBLIC),
-                                               width))
-            return
+            return self._intercept_value(instr, (value, 0, PUBLIC), width)
         prov = self.tracker.operation(instr.loc, mask, [a[2]])
-        stack.append(self._intercept_value(instr, (value, mask, prov),
-                                           width))
+        return self._intercept_value(instr, (value, mask, prov), width)
 
-    def _cast(self, instr, stack):
+    def _cast(self, instr, a):
+        """The result triple of CAST ``instr`` on operand ``a``."""
         from_width, from_signed, to_width, to_signed = instr.arg
-        a = stack.pop()
         if from_signed:
             value = self._signed(a[0], from_width) & width_mask(to_width)
         else:
             value = a[0] & width_mask(to_width)
         if a[1] == 0:
-            stack.append(self._intercept_value(instr, (value, 0, PUBLIC),
-                                               to_width))
-            return
+            return self._intercept_value(instr, (value, 0, PUBLIC), to_width)
         if to_width > from_width:
             if from_signed:
                 mask = transfer.transfer_sext(a[0], a[1], from_width,
@@ -714,11 +645,9 @@ class VM:
         else:
             mask = transfer.transfer_trunc(a[0], a[1], to_width)
         if mask == 0:
-            stack.append((value, 0, PUBLIC))
-            return
+            return (value, 0, PUBLIC)
         prov = self.tracker.operation(instr.loc, mask, [a[2]])
-        stack.append(self._intercept_value(instr, (value, mask, prov),
-                                           to_width))
+        return self._intercept_value(instr, (value, mask, prov), to_width)
 
     # ------------------------------------------------------------------
     # Arrays
@@ -870,27 +799,6 @@ class VM:
         if not isinstance(array, ArrayObject):
             raise VMError("output source is not an array", loc)
         count = min(count, array.length)
-        if (count > 1 and self.backend == "fast"
-                and (self.lazy is None or not len(self.lazy))):
-            # Fast backend, no deferred region updates pending: batch the
-            # output without per-element lazy checks.  Same outputs, same
-            # provenance list, same single tracker.output event.
-            values = array.values[:count]
-            self.outputs.extend(values)
-            self.output_bytes.extend(v & 0xFF for v in values)
-            masks = array.masks
-            arr_provs = array.provs
-            provs = [arr_provs[i] for i in range(count) if masks[i]]
-            if self.interceptor is not None:
-                self.interceptor.output(bytes(v & 0xFF for v in values))
-            self.tracker.output(loc, provs)
-            metrics = obs.get_metrics()
-            if metrics.enabled:
-                metrics.incr("shadow.fast.batch_ops")
-                metrics.incr("shadow.fast.batch_values", count)
-            if self.output_hook is not None:
-                self.output_hook(self)
-            return
         provs = []
         for i in range(count):
             if self.lazy is not None and len(self.lazy):
@@ -1054,6 +962,12 @@ class VM:
         for region in self._regions:
             if region.checker is not None:
                 region.checker.note_write(key)
+
+    def _declare_local(self, key):
+        """Mark ``key`` as declared inside every active region."""
+        for region in self._regions:
+            if region.checker is not None:
+                region.checker.declare_local(key)
 
     def _note_write_outer(self, key):
         """Note a region-exit update as a write in *enclosing* regions."""

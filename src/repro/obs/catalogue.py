@@ -96,7 +96,7 @@ def _specs():
         # Fast backend (repro.shadow.fast + frontend fast paths).
         (c, "shadow.fast.batch_ops", "calls", "experimental",
          "bulk shadow-propagation calls taken by the fast backend "
-         "(secret_values batches, bulk array reads/writes)"),
+         "(secret_values batches, bulk secret array reads)"),
         (c, "shadow.fast.batch_values", "values", "experimental",
          "individual values processed through fast-backend bulk calls"),
         # Collapsing (repro.graph.collapse).

@@ -1,14 +1,17 @@
-"""Step-exact pins for the FlowLang VM's dispatch loop.
+"""Step-exact pins for the FlowLang VM's two dispatch paths.
 
-The backend-equivalence suites compare the backends with each other,
-but every backend runs the same dispatch loop (``VM._execute``), so a
-bug there moves all of them together and those suites stay green.
-These tests pin absolute figures instead: step counts, output bytes,
-bits, collapsed edge counts and raw-graph digests for every FlowLang
-source in :mod:`repro.apps`, plus the loop's frame-switch, region-write,
-interception, budget, error and deadline contracts.  The figures are
-part of the VM's observable behaviour; a loop change that moves any of
-them is a behaviour change, not an optimisation.
+The reference backend runs the per-instruction interpreter
+(``VM._interpret``); the fast backend runs compiled basic blocks
+(:mod:`repro.lang.blocks`) and hands the interpreter the frame switches
+and any block that reaches a budget check.  The two are compared with
+each other in ``test_block_engine.py``; these tests pin absolute
+figures for both, so a bug that moved both paths together would still
+show: step counts, output bytes, bits, collapsed edge counts and
+raw-graph digests for every FlowLang source in :mod:`repro.apps`, plus
+the frame-switch, region-write, interception, budget, error and
+deadline contracts.  The figures are part of the VM's observable
+behaviour; a dispatch change that moves any of them is a behaviour
+change, not an optimisation.
 """
 
 import pytest
@@ -28,7 +31,7 @@ from repro.graph.serialize import graph_digest
 from repro.lang import compile_source, execute, lockstep, measure
 from repro.lang.vm import DEADLINE_POLL_STEPS, VM, NullTracker
 
-#: The loop is shared, so each pin must hold on both backends.
+#: Each pin must hold on both dispatch paths.
 BACKENDS = ("reference", "fast")
 
 COUNTPUNCT_TEXT = (b"Is it? Yes. No... maybe? Fine. Why? Because. "
