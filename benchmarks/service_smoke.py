@@ -13,7 +13,9 @@ contract of docs/service.md, asserting at each step:
    every job acked before the drain replays with the same terminal
    state after a restart;
 6. the telemetry directory passes ``repro obs check``;
-7. the warm pool workers of a ``--jobs 2`` daemon hold no descriptor
+7. a job accepted after a restart over a torn ``queue.journal`` tail
+   survives a SIGKILL of the daemon, then replays and finishes;
+8. the warm pool workers of a ``--jobs 2`` daemon hold no descriptor
    on a path under its state directory or on its listening socket,
    and SIGKILLing that daemon leaves no worker alive after 5 s.
 
@@ -351,6 +353,35 @@ def check_telemetry(state_dir):
         % len(generations))
 
 
+def check_torn_journal(state_dir):
+    """A crash can leave a torn last journal line.  The next daemon
+    must truncate it before appending, so a job it answers 202 is
+    still there after that daemon is killed in turn."""
+    with open(os.path.join(state_dir, "queue.journal"), "a") as handle:
+        handle.write('{"rec": "submit", "id": "job-torn", "ts": 1')
+    proc, base = start_daemon(state_dir)
+    try:
+        status, doc, _ = request(
+            base, "POST", "/v1/jobs",
+            {"program": SLOW_PROGRAM, "tenant": "torn",
+             "secrets": ["t0", "t1"]})
+        assert status == 202, (status, doc)
+        job_id = doc["id"]
+        proc.kill()
+        proc.wait(timeout=60)
+        proc, base = start_daemon(state_dir)
+        status, doc, _ = request(base, "GET", "/v1/jobs/" + job_id)
+        assert status == 200, ("job %s, accepted after a torn journal "
+                               "tail, lost at the next restart" % job_id)
+        final = wait_terminal(base, job_id, timeout=180)
+        assert final["state"] == "done", final
+        log("torn journal: job %s accepted over a torn tail survived "
+            "SIGKILL and finished" % job_id)
+    finally:
+        proc.terminate()
+        proc.wait(timeout=60)
+
+
 def check_orphans(state_dir):
     """A daemon keeps its pool between jobs; killed outright, it must
     not leave the idle workers behind."""
@@ -401,6 +432,7 @@ def main():
         check_worker_kill(base, proc.pid)
         check_drain(state_dir, proc, base)
         check_telemetry(state_dir)
+        check_torn_journal(state_dir)
         check_orphans(os.path.join(state_dir, "orphans"))
     finally:
         if proc.poll() is None:

@@ -311,51 +311,6 @@ class IncrementalKraft:
                 bits=None if bits >= INF else bits,
                 groups=len(self._groups))
 
-    def to_dict(self):
-        """The accountant's complete state as a JSON-able dict.
-
-        The measurement service checkpoints this after every admitted
-        shard so a crashed job resumes its anytime accounting instead
-        of restarting it; :meth:`from_dict` round-trips exactly
-        (groups, accumulators, seal state, trail, and update count).
-        """
-        return {
-            "groups": [[gid, src, sink]
-                       for gid, (src, sink) in sorted(self._groups.items())],
-            "next_id": self._next_id,
-            "sealed": self._sealed,
-            "final": self._final,
-            "trail": list(self.trail),
-            "updates": self.updates,
-        }
-
-    @classmethod
-    def from_dict(cls, doc):
-        """Rebuild an accountant from :meth:`to_dict` output.
-
-        The source/sink accumulators are re-derived from the group
-        table, so a hand-edited or torn document cannot smuggle in an
-        inconsistent sum.
-        """
-        kraft = cls()
-        for gid, src, sink in doc["groups"]:
-            gid = int(gid)
-            if gid in kraft._groups:
-                raise ValueError("duplicate group id %d" % gid)
-            caps = (min(int(src), INF), min(int(sink), INF))
-            kraft._groups[gid] = caps
-            kraft._account(caps[0], caps[1], +1)
-        kraft._next_id = int(doc["next_id"])
-        if kraft._groups and kraft._next_id <= max(kraft._groups):
-            raise ValueError("next_id %d collides with live groups"
-                             % kraft._next_id)
-        kraft._sealed = bool(doc["sealed"])
-        final = doc.get("final")
-        kraft._final = None if final is None else int(final)
-        kraft.trail = [int(b) for b in doc.get("trail", [])]
-        kraft.updates = int(doc.get("updates", 0))
-        return kraft
-
     @property
     def groups_live(self):
         return len(self._groups)

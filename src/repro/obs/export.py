@@ -28,8 +28,9 @@ a configurable interval into a ``telemetry-v1`` directory:
     symlink (a plain file on filesystems without symlinks), so
     ``repro obs tail`` always has one coherent snapshot to render.
 
-Everything is append-or-atomic-replace: a crash mid-flush leaves at
-worst one partial trailing JSONL line and never a torn ``.prom`` or
+Everything is append-or-atomic-replace (:mod:`repro.durable`): a crash
+mid-flush leaves at worst one partial trailing JSONL line, which the
+next flush's append truncates, and never a torn ``.prom`` or
 ``latest``.  Flush failures are contained — counted on
 ``obs.export.errors``, logged as ``export.flush_error`` events, and
 surfaced once via :attr:`TelemetryExporter.error` — so telemetry can
@@ -43,6 +44,7 @@ import os
 import threading
 import time
 
+from ..durable import LineLog, atomic_write
 from . import resources
 from .catalogue import CATALOGUE, COUNTER, GAUGE, HISTOGRAM, TIMER
 from .log import EVENT_CATALOGUE, RESERVED_FIELDS
@@ -393,17 +395,6 @@ class _Ledger:
 Ledger = _Ledger
 
 
-def _atomic_write(path, text):
-    """Write ``text`` to ``path`` via a temp file and ``os.replace``."""
-    tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "w") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    return len(text)
-
-
 def _swap_latest(directory, target_name):
     """Point ``<directory>/latest`` at ``target_name``, atomically.
 
@@ -422,7 +413,7 @@ def _swap_latest(directory, target_name):
         os.replace(tmp, latest)
     except OSError:
         with open(os.path.join(directory, target_name)) as handle:
-            _atomic_write(latest, handle.read())
+            atomic_write(latest, handle.read())
 
 
 class TelemetryExporter:
@@ -456,7 +447,7 @@ class TelemetryExporter:
         self._previous_snapshot_name = None
         os.makedirs(self.directory, exist_ok=True)
         os.makedirs(os.path.join(self.directory, "workers"), exist_ok=True)
-        _atomic_write(os.path.join(self.directory, "format"), FORMAT + "\n")
+        atomic_write(os.path.join(self.directory, "format"), FORMAT + "\n")
 
     def start(self):
         """Start the background flusher (idempotent)."""
@@ -548,15 +539,16 @@ class TelemetryExporter:
         for pid, record in self._worker_latest.items():
             samples[str(pid)] = record
         prom = render_openmetrics(published, resource_samples=samples)
-        bytes_written += _atomic_write(
-            os.path.join(self.directory, "metrics.prom"), prom)
+        atomic_write(os.path.join(self.directory, "metrics.prom"), prom)
+        bytes_written += len(prom)
 
         snapshot_name = "snapshot-%d.json" % seq
         snapshot_doc = {"ts": now, "seq": seq, "format": FORMAT,
                         "metrics": published, "resources": samples}
-        bytes_written += _atomic_write(
-            os.path.join(self.directory, snapshot_name),
-            json.dumps(snapshot_doc, sort_keys=False) + "\n")
+        snapshot_text = json.dumps(snapshot_doc, sort_keys=False) + "\n"
+        atomic_write(os.path.join(self.directory, snapshot_name),
+                     snapshot_text)
+        bytes_written += len(snapshot_text)
         _swap_latest(self.directory, snapshot_name)
         if (self._previous_snapshot_name
                 and self._previous_snapshot_name != snapshot_name):
@@ -573,11 +565,11 @@ class TelemetryExporter:
             metrics.incr("obs.export.bytes", bytes_written)
 
     def _append_jsonl(self, relative, records):
-        path = os.path.join(self.directory, relative)
         text = "".join(json.dumps(record, sort_keys=False) + "\n"
                        for record in records)
-        with open(path, "a") as handle:
-            handle.write(text)
+        with LineLog(os.path.join(self.directory, relative),
+                     fsync=False) as log:
+            log.append(text)
         return len(text)
 
     def stop(self, flush=True):

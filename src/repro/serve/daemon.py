@@ -20,20 +20,21 @@ State directory layout::
         progress.jsonl       one record per completed run (the commit
                              point: digest + bits on success, the
                              JobFailure dict on failure)
-        kraft.json           resumable IncrementalKraft state (the
-                             live anytime bound while runs execute)
         result.json          the final report document (atomic write)
 
 Durability argument, in order of the writes: a run's shard blob is
 written first (content-addressed and idempotent — rewriting it on
 resume is a no-op), then its ``progress.jsonl`` line is appended,
-flushed, and fsynced.  The progress line is the *only* commit point:
-a crash before it re-executes the run (same digest, nothing doubled),
-a crash after it resumes past the run (the blob is already durable).
-The Kraft accountant is checkpointed after the progress line and
-verified against it on resume — a stale or torn ``kraft.json`` is
-rebuilt from the progress records and the stored shard metadata, so
-no run is ever double-admitted into the §3 accounting.  Finishing a
+flushed, and fsynced through a :class:`~repro.durable.LineLog`.  A
+record counts once its newline is on disk, and the first append after
+a restart truncates a torn tail, so the progress line is the *only*
+commit point: a crash before its newline re-executes the run (same
+digest, nothing doubled), a crash after it resumes past the run (the
+blob is already durable).  The live Kraft accountant behind
+``anytime_bits`` is not checkpointed: on resume it is rebuilt from the
+progress records and the stored shard metadata, and its bound
+``min(Σ source, Σ sink)`` does not depend on admission order, so no
+run is ever double-admitted into the §3 accounting.  Finishing a
 job writes nothing but ``result.json`` and the ack: the final combine
 (:func:`repro.batch.runs._combine`, the package's one multi-run
 combine) folds the stored shards in run-index order and computes its
@@ -64,6 +65,7 @@ from ..batch.engine import PENDING, BatchEngine, FaultPolicy, JobFailure
 from ..batch.runs import BATCH_COLLAPSE_MODES, _combine, _trace_run_job
 from ..core.combine import IncrementalKraft
 from ..core.policy import CutPolicy
+from ..durable import LineLog, atomic_write, read_lines
 from ..errors import ServeError
 from ..graph.flowgraph import INF
 from ..shadow import BACKENDS, resolve_backend
@@ -181,35 +183,24 @@ def validate_spec(spec):
 def load_progress(path):
     """Fold a job's ``progress.jsonl`` into ``{run_index: record}``.
 
-    A torn final line (the expected crash artifact) is dropped; a
+    A torn final line (the expected crash artifact) is ignored; a
     duplicated run index keeps the last record.
     """
     completed = {}
     if not os.path.exists(path):
         return completed
-    with open(path, "rb") as handle:
-        for line in handle.read().split(b"\n"):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except (ValueError, UnicodeDecodeError):
-                continue
-            run = record.get("run")
-            if isinstance(run, int) and ("digest" in record
-                                         or "error" in record):
-                completed[run] = record
+    for line in read_lines(path)[0]:
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except (ValueError, UnicodeDecodeError):
+            continue
+        run = record.get("run")
+        if isinstance(run, int) and ("digest" in record
+                                     or "error" in record):
+            completed[run] = record
     return completed
-
-
-def _atomic_json(path, doc):
-    tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "w") as handle:
-        json.dump(doc, handle, sort_keys=False)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
 
 
 class ServeConfig:
@@ -358,19 +349,11 @@ class MeasurementDaemon:
         with self._live_lock:
             self._live.pop(job_id, None)
 
-    def _load_kraft(self, path, completed, store):
-        """The job's resumable Kraft accountant: the checkpointed state
-        when it matches the progress journal, else a rebuild from the
-        stored shard metadata (never trust a torn checkpoint)."""
+    def _load_kraft(self, completed, store):
+        """The job's live Kraft accountant, rebuilt from the progress
+        records and the stored shard metadata."""
         success = sorted(run for run, record in completed.items()
                          if "digest" in record)
-        try:
-            with open(path) as handle:
-                doc = json.load(handle)
-            if sorted(doc.get("runs", ())) == success:
-                return IncrementalKraft.from_dict(doc["kraft"]), success
-        except (OSError, ValueError, KeyError, TypeError):
-            pass
         kraft = IncrementalKraft()
         for run in success:
             meta = store.meta(completed[run]["digest"])
@@ -396,9 +379,8 @@ class MeasurementDaemon:
         os.makedirs(job_dir, exist_ok=True)
         store = ShardStore(os.path.join(job_dir, "store"))
         progress_path = os.path.join(job_dir, "progress.jsonl")
-        kraft_path = os.path.join(job_dir, "kraft.json")
         completed = load_progress(progress_path)
-        kraft, success = self._load_kraft(kraft_path, completed, store)
+        kraft, success = self._load_kraft(completed, store)
         remaining = [i for i in range(runs_total) if i not in completed]
         self._set_live(job.id, runs_total=runs_total,
                        runs_done=len(completed),
@@ -411,8 +393,7 @@ class MeasurementDaemon:
             if remaining:
                 self._run_remaining(job, canonical, secrets, public,
                                     collapse, backend, remaining, store,
-                                    progress_path, kraft_path, completed,
-                                    kraft, runs_total)
+                                    progress_path, completed, kraft)
             unresolved = [i for i in range(runs_total)
                           if i not in completed]
             if job.cancel_requested:
@@ -436,13 +417,13 @@ class MeasurementDaemon:
 
     def _run_remaining(self, job, canonical, secrets, public, collapse,
                        backend, remaining, store, progress_path,
-                       kraft_path, completed, kraft, runs_total):
+                       completed, kraft):
         payloads = [(canonical["program"], canonical["filename"],
                      secrets[i], public, collapse, "main",
                      canonical["max_steps"], canonical["deadline"],
                      backend)
                     for i in remaining]
-        handle = open(progress_path, "a", encoding="utf-8")
+        progress = LineLog(progress_path, fsync=True)
 
         def checkpoint(index, outcome):
             run = remaining[index]
@@ -457,17 +438,11 @@ class MeasurementDaemon:
                           "bits": outcome["bits"],
                           "stats": outcome["stats"],
                           "warnings": outcome["warnings"]}
-            handle.write(json.dumps(record, sort_keys=False) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+            progress.append(json.dumps(record, sort_keys=False) + "\n")
             completed[run] = record
-            success = sorted(r for r, rec in completed.items()
-                             if "digest" in rec)
-            _atomic_json(kraft_path, {"format": "kraft-v1",
-                                      "kraft": kraft.to_dict(),
-                                      "runs": success})
             self._set_live(job.id, runs_done=len(completed),
-                           runs_failed=len(completed) - len(success),
+                           runs_failed=sum("error" in rec
+                                           for rec in completed.values()),
                            anytime_bits=_finite(kraft.bits))
 
         def stop():
@@ -484,7 +459,7 @@ class MeasurementDaemon:
             assert all(o is PENDING or remaining[i] in completed
                        for i, o in enumerate(outcomes))
         finally:
-            handle.close()
+            progress.close()
 
     def _finalize_job(self, job, canonical, store, completed, runs_total,
                       seconds):
@@ -499,7 +474,7 @@ class MeasurementDaemon:
                    "covered": 0, "partial": True, "per_run_bits": [],
                    "failures": failures, "warnings": [],
                    "seconds": seconds}
-            _atomic_json(result_path, doc)
+            atomic_write(result_path, json.dumps(doc) + "\n")
             self.queue.ack(job.id, "failed",
                            {"runs": runs_total, "covered": 0,
                             "error": failures[0] if failures else None})
@@ -529,7 +504,7 @@ class MeasurementDaemon:
             "cut": cut.to_dict(),
             "seconds": seconds,
         }
-        _atomic_json(result_path, doc)
+        atomic_write(result_path, json.dumps(doc) + "\n")
         self.admission.observe_job_seconds(seconds)
         state = "partial" if failures else "done"
         self.queue.ack(job.id, state,
@@ -631,8 +606,9 @@ class MeasurementDaemon:
         self._state_root = os.path.realpath(config.state_dir)
         self._listen_fd = self._server.fileno()
         _serving.add(self)
-        _atomic_json(os.path.join(config.state_dir, "endpoint.json"),
-                     {"host": host, "port": port, "pid": os.getpid()})
+        atomic_write(os.path.join(config.state_dir, "endpoint.json"),
+                     json.dumps({"host": host, "port": port,
+                                 "pid": os.getpid()}) + "\n")
         self._server_thread = threading.Thread(
             target=self._server.serve_forever,
             kwargs={"poll_interval": 0.1},

@@ -23,8 +23,9 @@ Record kinds (``rec`` field):
 Replay (on every open) folds the journal into a consistent state:
 
 * a torn final line — the one partial write a crash can leave, since
-  every record is written in one flushed ``write()`` — is dropped
-  silently; malformed interior lines are dropped with a counter;
+  every record is one flushed ``write()`` of a
+  :class:`~repro.durable.LineLog` — is ignored silently, and the next
+  append truncates it; malformed whole lines are dropped with a counter;
 * ``ack`` for an unknown id and duplicate records are tolerated
   (last writer wins), so replaying any *prefix* of a journal yields a
   consistent state: no accepted job lost, no job double-completed —
@@ -49,6 +50,7 @@ import threading
 import time
 
 from .. import obs
+from ..durable import LineLog, read_lines
 from ..errors import ServeError
 
 #: The journal format marker written to (and required of) the header.
@@ -105,20 +107,13 @@ def replay_journal(path):
 
     ``jobs`` is an id-ordered-by-submission dict of
     :class:`JobRecord`; ``skipped`` counts dropped lines (a torn final
-    line is dropped *without* counting — it is the expected crash
+    line is ignored *without* counting — it is the expected crash
     artifact, not damage).  Pure function of the file contents, which
     is what the prefix-truncation property test exercises directly.
     """
     jobs = {}
     skipped = 0
-    with open(path, "rb") as handle:
-        data = handle.read()
-    lines = data.split(b"\n")
-    torn_tail = lines and lines[-1] != b""
-    if not torn_tail:
-        lines = lines[:-1]
-    for position, line in enumerate(lines):
-        last = position == len(lines) - 1
+    for line in read_lines(path)[0]:
         if not line.strip():
             continue
         try:
@@ -126,8 +121,7 @@ def replay_journal(path):
             if not isinstance(record, dict):
                 raise ValueError("not an object")
         except (ValueError, UnicodeDecodeError):
-            if not (last and torn_tail):
-                skipped += 1
+            skipped += 1
             continue
         kind = record.get("rec")
         if kind == "header":
@@ -177,7 +171,7 @@ class JobQueue:
         os.makedirs(self.state_dir, exist_ok=True)
         self.path = os.path.join(self.state_dir, _JOURNAL)
         self._lock = threading.Lock()
-        self._handle = None
+        self._log = LineLog(self.path, fsync=True)
         self.skipped_lines = 0
         self.replayed = 0
         if os.path.exists(self.path):
@@ -204,17 +198,11 @@ class JobQueue:
 
     def _write_record(self, record):
         """Append one record durably: single write, flush, fsync."""
-        if self._handle is None:
-            self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(json.dumps(record, sort_keys=False) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        self._log.append(json.dumps(record, sort_keys=False) + "\n")
 
     def close(self):
         with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+            self._log.close()
 
     def __enter__(self):
         return self

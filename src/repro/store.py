@@ -50,16 +50,16 @@ needs a durable commit point keeps its own fsynced journal (the
 measurement service's ``progress.jsonl``).
 
 The *manifest* has a single writer — the parent process that owns the
-corpus.  Manifest appends flush whole lines, and manifest *rewrites*
-(recovery) go through a temp file + ``os.replace``, so a crash can
-tear at most the final line.  A torn or corrupt manifest line is
-**recovered**, not fatal: a truncated line whose hex prefix matches
-exactly one object in the pack is repaired to that digest; anything
-else is dropped (the object, if any, stays in the pack — content
-addressing makes orphans harmless).  The repaired manifest is
-rewritten atomically and the store notes what happened on
-:attr:`ShardStore.recovered` (and as a ``store.recovered`` event), so
-a daemon restarting over a kill-9-interrupted ingest reopens the
+corpus — and is a :class:`~repro.durable.LineLog` (not fsynced), so a
+crash can tear at most the final line.  A torn or corrupt manifest
+line (an unterminated tail is one, even a whole digest) is
+**recovered**, not fatal: a line whose hex prefix matches exactly one
+object in the pack is repaired to that digest; anything else is
+dropped (the object, if any, stays in the pack — content addressing
+makes orphans harmless).  The repaired manifest is rewritten with
+:func:`~repro.durable.atomic_write` and the store notes what happened
+on :attr:`ShardStore.recovered` (and as a ``store.recovered`` event),
+so a daemon restarting over a kill-9-interrupted ingest reopens the
 corpus instead of raising.
 
 Other corrupt store structure — a pack record whose CRC no longer
@@ -81,6 +81,7 @@ import struct
 import zlib
 
 from . import obs
+from .durable import LineLog, atomic_write, read_lines
 from .errors import StoreError
 from .graph.collapse import dedup_safe
 from .graph.serialize import (dump_graph_binary, dumps_graph,
@@ -299,28 +300,24 @@ class ShardStore:
         self._order = []
         self._counts = {}
         repaired = dropped = 0
-        with open(self._manifest_path) as handle:
-            for line in handle:
-                digest = line.strip()
-                if not digest:
+        lines, tail = read_lines(self._manifest_path)
+        for index, line in enumerate(lines + [tail]):
+            digest = line.strip().decode("ascii", "replace")
+            if not digest:
+                continue
+            if index == len(lines) or not _DIGEST.match(digest):
+                digest = self._recover_digest(digest)
+                if digest is None:
+                    dropped += 1
                     continue
-                if not _DIGEST.match(digest):
-                    digest = self._recover_digest(digest)
-                    if digest is None:
-                        dropped += 1
-                        continue
-                    repaired += 1
-                self._order.append(digest)
-                self._counts[digest] = self._counts.get(digest, 0) + 1
+                repaired += 1
+            self._order.append(digest)
+            self._counts[digest] = self._counts.get(digest, 0) + 1
         if repaired or dropped:
             # Rewrite the repaired manifest atomically so the damage is
             # healed on disk, not just in this process's view.
-            tmp = "%s.tmp.%d" % (self._manifest_path, os.getpid())
-            with open(tmp, "w") as handle:
-                handle.write("".join(d + "\n" for d in self._order))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self._manifest_path)
+            atomic_write(self._manifest_path,
+                         "".join(d + "\n" for d in self._order))
             self.recovered = {"repaired": repaired, "dropped": dropped}
             obs.get_event_log().event("store.recovered",
                                       repaired=repaired, dropped=dropped,
@@ -329,12 +326,13 @@ class ShardStore:
     def _recover_digest(self, fragment):
         """Repair one malformed manifest line, if the evidence allows.
 
-        A torn append leaves a *prefix* of a real digest; when that
-        prefix is valid hex and matches exactly one object in the pack,
-        the full digest is recovered.  Ambiguous or non-hex damage
-        returns ``None`` (the line is dropped)."""
+        A torn append leaves a *prefix* of a real digest (up to the
+        whole digest, less its newline); when that prefix is valid hex
+        and matches exactly one object in the pack, the full digest is
+        recovered.  Ambiguous or non-hex damage returns ``None`` (the
+        line is dropped)."""
         fragment = fragment.lower()
-        if not fragment or len(fragment) >= 64 \
+        if not fragment or len(fragment) > 64 \
                 or not re.fullmatch(r"[0-9a-f]+", fragment):
             return None
         matches = [digest for digest in self._index
@@ -344,14 +342,13 @@ class ShardStore:
         return None
 
     def _append_manifest(self, digest):
-        # One persistent append handle: a corpus ingest is put-per-run,
+        # One persistent log handle: a corpus ingest is put-per-run,
         # and reopening the manifest per put dominates the dedup-hit
-        # fast path.  Flushed per line so concurrent *readers* (and a
-        # crash) see only whole lines.
+        # fast path.
         if self._manifest_handle is None:
-            self._manifest_handle = open(self._manifest_path, "a")
-        self._manifest_handle.write(digest + "\n")
-        self._manifest_handle.flush()
+            self._manifest_handle = LineLog(self._manifest_path,
+                                            fsync=False)
+        self._manifest_handle.append(digest + "\n")
         self._order.append(digest)
         self._counts[digest] = self._counts.get(digest, 0) + 1
 

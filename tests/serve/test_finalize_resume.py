@@ -4,20 +4,19 @@ Finishing a job writes ``result.json`` and then acks it.  A crash
 between those writes leaves the job unacknowledged with every run
 checkpointed, so the next daemon replays it straight into the final
 combine.  That combine must reproduce the uninterrupted result exactly
-— anytime trail included — whatever Kraft checkpoint the crash left
-behind.  The seeded state below is the worst case: a sealed, finalized
-``kraft.json`` next to a complete ``progress.jsonl``.
+— anytime trail included — whatever else the crash left in the job
+directory.  The seeded state below is the worst case an older daemon,
+which checkpointed its Kraft accountant, could leave: a sealed,
+finalized ``kraft.json`` next to a complete ``progress.jsonl``.
 """
 
 import json
 import shutil
 import time
 
-from repro.core.combine import IncrementalKraft
 from repro.serve import MeasurementDaemon, ServeConfig
 from repro.serve.daemon import validate_spec
 from repro.serve.queue import JobQueue
-from repro.store import ShardStore
 
 PROGRAM = """
 fn main() {
@@ -50,21 +49,19 @@ def scrub(result):
     return doc
 
 
-def finalized_kraft_doc(job_dir, bits):
-    """The Kraft checkpoint of a job whose final solve already ran:
-    every succeeded run admitted, then sealed and finalized."""
-    store = ShardStore(job_dir / "store")
-    success = []
-    kraft = IncrementalKraft()
-    for line in (job_dir / "progress.jsonl").read_text().splitlines():
-        record = json.loads(line)
-        meta = store.meta(record["digest"])
-        kraft.admit(meta["source_cap"], meta["sink_cap"])
-        success.append(record["run"])
-    kraft.seal()
-    kraft.finalize(bits)
-    return {"format": "kraft-v1", "kraft": kraft.to_dict(),
-            "runs": sorted(success)}
+#: The ``kraft-v1`` checkpoint an older daemon left for SPEC once its
+#: final solve had run: the four runs admitted, then sealed and
+#: finalized at the job's 20 bits.  No daemon reads or writes it now.
+FINALIZED_KRAFT_DOC = {
+    "format": "kraft-v1",
+    "kraft": {"groups": [[0, 64, 4611686018427387904],
+                         [1, 64, 4611686018427387904],
+                         [2, 16, 4611686018427387904],
+                         [3, 64, 4611686018427387904]],
+              "next_id": 4, "sealed": True, "final": 20,
+              "trail": [208, 20], "updates": 2},
+    "runs": [0, 1, 2, 3],
+}
 
 
 class TestCrashWhileFinishing:
@@ -93,8 +90,7 @@ class TestCrashWhileFinishing:
         ref_dir = ref_state / "jobs" / job.id
         shutil.copytree(ref_dir / "store", job_dir / "store")
         shutil.copy(ref_dir / "progress.jsonl", job_dir / "progress.jsonl")
-        (job_dir / "kraft.json").write_text(json.dumps(
-            finalized_kraft_doc(job_dir, reference["bits"])))
+        (job_dir / "kraft.json").write_text(json.dumps(FINALIZED_KRAFT_DOC))
 
         daemon = MeasurementDaemon(ServeConfig(state, port=0,
                                                telemetry=False))

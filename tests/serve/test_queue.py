@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,3 +220,15 @@ class TestTruncationProperty:
         # 5. the full journal replays exactly the states the live queue
         #    reached.
         assert {j: r.state for j, r in full_jobs.items()} == expected
+        # 6. a restart over the prefix accepts durably: a job submitted
+        #    there, and every job the prefix replayed, survive the next
+        #    restart (the new record is not glued onto a torn tail).
+        state = os.path.join(str(tmp_path), "restart")
+        os.makedirs(state)
+        shutil.copy(truncated, journal(state))
+        with JobQueue(state) as queue:
+            new_id = queue.submit(SPEC).id
+        reopened = JobQueue(state)
+        assert reopened.skipped_lines == 0
+        assert {j: r.state for j, r in reopened.jobs.items()} == dict(
+            {j: r.state for j, r in jobs.items()}, **{new_id: "queued"})

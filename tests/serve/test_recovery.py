@@ -19,6 +19,9 @@ import urllib.request
 
 import pytest
 
+from repro.serve import (JobQueue, MeasurementDaemon, ServeConfig,
+                         load_progress, validate_spec)
+
 #: 80k VM steps per run: about 17 ms per run in a batch under the fast
 #: backend and 80 ms under the reference one (2-vCPU Linux VM).
 SLOW_PROGRAM = """
@@ -213,6 +216,30 @@ class TestKillNine:
 
 
 @pytest.mark.slow
+class TestTornProgressTail:
+    def test_checkpoint_after_torn_tail_survives(self, tmp_path):
+        # A kill -9 mid-append leaves a torn progress line; the resumed
+        # job's first checkpoint must land as a record of its own.
+        spec = validate_spec({"program": SLOW_PROGRAM,
+                              "secrets": SECRETS[:4]})
+        with JobQueue(str(tmp_path)) as queue:
+            queue.submit(spec, job_id="job-torn")
+        progress = tmp_path / "jobs" / "job-torn" / "progress.jsonl"
+        progress.parent.mkdir(parents=True)
+        progress.write_text('{"run": 0, "dig')
+        daemon = MeasurementDaemon(ServeConfig(tmp_path, port=0,
+                                               telemetry=False))
+        daemon.start()
+        try:
+            deadline = time.monotonic() + 60
+            while daemon.job_status("job-torn")["state"] != "done":
+                assert time.monotonic() < deadline, "job never finished"
+                time.sleep(0.05)
+        finally:
+            daemon.stop()
+        assert sorted(load_progress(str(progress))) == [0, 1, 2, 3]
+
+
 class TestBatchSignals:
     """``repro batch`` exits 130/143 with flushed sinks, no traceback."""
 

@@ -184,3 +184,21 @@ def test_dinic_is_the_one_max_flow_solver():
     assert residual_builders == {"graph/maxflow.py"}
     for entry in (measure_graph, measure_runs):
         assert "solver" not in inspect.signature(entry).parameters
+
+
+def test_durable_imports_only_the_standard_library():
+    # Every layer, obs included, writes its logs through repro.durable.
+    names = _imports("durable.py", dict(_package_sources())["durable.py"])
+    assert names
+    assert [name for name in names
+            if name.split(".")[0] not in sys.stdlib_module_names] == []
+
+
+def test_obs_imports_nothing_from_upper_layers():
+    offenders = set()
+    for rel, tree in _package_sources():
+        if rel.startswith("obs" + os.sep) and any(
+                name == upper or name.startswith(upper + ".")
+                for name in _imports(rel, tree) for upper in UPPER):
+            offenders.add(rel)
+    assert sorted(offenders) == []

@@ -271,6 +271,36 @@ class TestStoreErrors:
         assert store.recovered == {"repaired": 0, "dropped": 1}
         assert store.multiplicities() == [(digest, 1)]
 
+    def test_unterminated_whole_digest_survives_next_put(self, tmp_path):
+        # A crash can cut the last line just before its newline; the
+        # next put must not glue its digest onto that one.
+        root = tmp_path / "store"
+        first = ShardStore(root)
+        digest = first.put(make_graph())
+        other = first.put(make_graph(2))
+        first.close()
+        with open(root / "manifest", "w") as handle:
+            handle.write(digest + "\n" + other)
+        store = ShardStore(root, create=False)
+        store.put(make_graph())
+        store.close()
+        reopened = ShardStore(root, create=False)
+        assert len(reopened) == 3
+        assert reopened.order() == [digest, other, digest]
+        assert store.recovered == {"repaired": 1, "dropped": 0}
+        assert reopened.recovered is None
+
+    def test_non_utf8_manifest_line_dropped(self, tmp_path):
+        root = tmp_path / "store"
+        first = ShardStore(root)
+        digest = first.put(make_graph())
+        first.close()
+        with open(root / "manifest", "ab") as handle:
+            handle.write(b"\xff\xfe\n")
+        store = ShardStore(root, create=False)
+        assert store.recovered == {"repaired": 0, "dropped": 1}
+        assert store.multiplicities() == [(digest, 1)]
+
     def test_recovery_emits_event(self, tmp_path):
         root = tmp_path / "store"
         first = ShardStore(root)
