@@ -40,8 +40,10 @@ compiles once.  The contract:
 * only a map that ends cleanly (every future resolved, including a
   drained ``stop()`` map and one under a ``timeout`` policy) gives its
   pool back; a pool that broke, timed out or was aborted is terminated;
-* an idle pool whose worker died is dropped at the next lease, which
-  starts a fresh one without counting a restart or striking a job;
+* an idle pool whose worker exited (every thread gone) is dropped at
+  the next lease, which starts a fresh one without counting a restart
+  or striking a job.  A worker still exiting at the lease counts the
+  same as one killed just after it: the fault policy handles it;
 * a forked child never sees its parent's pool (the slot is cleared at
   fork), and a worker exits on its own once its parent is gone;
 * workers keep every file descriptor that was open when they were

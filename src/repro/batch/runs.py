@@ -28,14 +28,14 @@ for a complete bound.
 from __future__ import annotations
 
 import io
-import tempfile
 import time
 from contextlib import ExitStack
 
 from .. import obs
 from ..core.combine import (IncrementalKraft, StreamingCombiner,
                             kraft_satisfied, kraft_sum)
-from ..core.measure import measure_graph, measure_runs
+from ..core.measure import (MULTI_RUN_COLLAPSE_MODES, measure_graph,
+                            measure_runs)
 from ..core.multisecret import CategoryBounds, _restricted_copy
 from ..core.tracker import CollapsingTraceBuilder
 from ..errors import BatchError, GraphError, StoreError
@@ -49,16 +49,12 @@ from ..shadow import resolve_backend
 from ..store import ShardStore
 from .engine import BatchEngine, FaultPolicy, JobFailure
 
-#: Collapse modes a batch worker can trace under.  ``"none"`` is
-#: excluded on purpose: workers must ship *collapsed* graphs, or the
-#: transfer volume would be runtime-sized instead of coverage-sized.
-BATCH_COLLAPSE_MODES = ("context", "location")
-
-
 def _check_collapse(collapse):
-    if collapse not in BATCH_COLLAPSE_MODES:
+    # Workers ship *collapsed* graphs, so the transfer volume stays
+    # coverage-sized, and the parent merges them by label.
+    if collapse not in MULTI_RUN_COLLAPSE_MODES:
         raise ValueError("batch collapse must be one of %r, got %r"
-                         % (BATCH_COLLAPSE_MODES, collapse))
+                         % (MULTI_RUN_COLLAPSE_MODES, collapse))
 
 
 def _fault_policy(faults, timeout, retries, on_error):
@@ -444,17 +440,15 @@ def _combine(refs, store, context_sensitive=True, jobs=1, faults=None,
     """The §3.2 multi-run combine; returns a :class:`StoreCombineResult`.
 
     Every combine entry point ends here.  ``refs`` is an ordered list
-    of ``(shard, multiplicity)``, where a shard is an in-memory
-    :class:`~repro.graph.flowgraph.FlowGraph` or the digest of an
-    object in ``store``.  Each shard is admitted to an
-    :class:`~repro.core.combine.IncrementalKraft` accountant, which is
-    then sealed.  While more than one chunk remains, a reduction level
-    left-folds contiguous chunks across the worker pool, exchanging
-    only store digests; in-memory shards are written to ``store`` (a
-    temporary one when ``store`` is ``None``) just before the first
-    level, so a root-only combine — ``jobs=1``, or at most ``fanin``
-    shards — never touches disk.  The survivors are folded at the root
-    through one warm-started
+    of ``(shard, multiplicity)``, where a shard is the digest of an
+    object in ``store`` or, for a root-only combine (``jobs=1`` and no
+    ``fanin``, so ``store`` may be ``None``), an in-memory
+    :class:`~repro.graph.flowgraph.FlowGraph`.  Each shard is admitted
+    to an :class:`~repro.core.combine.IncrementalKraft` accountant,
+    which is then sealed.  While more than one chunk remains, a
+    reduction level left-folds contiguous chunks across the worker
+    pool, exchanging only store digests.  The survivors are folded at
+    the root through one warm-started
     :class:`~repro.core.combine.StreamingCombiner`, merging their Kraft
     groups step by step, and the accountant snaps to the exact bound.
     ``metas`` optionally maps digests to the store metadata the caller
@@ -497,19 +491,11 @@ def _combine(refs, store, context_sensitive=True, jobs=1, faults=None,
     t0 = time.perf_counter()
     failures = []
     levels = 0
-    with ExitStack() as cleanup, \
-            obs.get_tracer().span("batch.merge", chunks=len(items)):
+    with obs.get_tracer().span("batch.merge", chunks=len(items)):
         while True:
             parts = _tree_parts(len(items), engine.jobs, fanin)
             if parts <= 1:
                 break
-            if store is None:
-                store = _open_store(cleanup.enter_context(
-                    tempfile.TemporaryDirectory(prefix="repro-combine-")),
-                    cleanup)
-            items = [(shard if isinstance(shard, str)
-                      else store.put_object(shard), *rest)
-                     for shard, *rest in items]
             slices = _chunks(len(items), parts)
             payloads = [(store.root, items[lo:hi], context_sensitive)
                         for lo, hi in slices]
@@ -587,64 +573,6 @@ def _open_store(store, cleanup, create=True):
     if isinstance(store, ShardStore):
         return store
     return cleanup.enter_context(ShardStore(store, create=create))
-
-
-def _combine_graphs(graphs, context_sensitive, jobs, faults, store,
-                    stats_list=None, warnings=None):
-    """The parallel or store-backed combine behind
-    :func:`~repro.core.measure.measure_runs` and
-    :func:`~repro.graph.collapse.combine_runs`.
-
-    Without a ``store`` the graphs are combined directly; with one they
-    are appended to it first and the *whole* store corpus is combined.
-    """
-    if store is None:
-        return _combine([(graph, 1) for graph in graphs], None,
-                        context_sensitive, jobs, faults,
-                        stats_list=stats_list, warnings=warnings)
-    with ExitStack() as cleanup:
-        store = _open_store(store, cleanup)
-        for graph in graphs:
-            store.put(graph)
-        return combine_store_jobs(store,
-                                  context_sensitive=context_sensitive,
-                                  jobs=jobs, faults=faults,
-                                  stats_list=stats_list, warnings=warnings)
-
-
-def combine_graphs_jobs(graphs, context_sensitive=True, jobs=1,
-                        timeout=None, retries=0, on_error="raise",
-                        faults=None, fanin=None):
-    """Tree-reduced parallel :func:`~repro.graph.collapse.collapse_graphs`.
-
-    With ``jobs=1`` or a single graph this is
-    :func:`~repro.graph.collapse.collapse_graphs`.  Otherwise the
-    graphs go through the one multi-run combine: contiguous chunks of
-    at most ``fanin`` graphs merge level by level across the worker
-    pool (exchanging digests through a temporary shard store), and the
-    parent folds the last level.  No process ever materializes more
-    than one chunk of coverage-sized graphs at a time.  The result
-    (same node numbering, edge order, capacities, and
-    labels-as-serialized) is identical to combining the whole list at
-    once, and the reported :class:`CollapseStats` count the original
-    inputs.
-
-    Under ``on_error="collect"``, a failed chunk job *excludes its
-    subtree*: the combined graph covers only the surviving inputs, and
-    the failures are reported in ``stats.failures`` (callers must
-    treat such a combination as partial — the §3 guarantee does not
-    cover the excluded runs).  At least one subtree must survive, or a
-    :class:`~repro.errors.BatchError` is raised.
-    """
-    graphs = list(graphs)
-    if not graphs:
-        raise ValueError("combine_graphs_jobs needs at least one graph")
-    faults = _fault_policy(faults, timeout, retries, on_error)
-    if jobs == 1 or len(graphs) == 1:
-        return collapse_graphs(graphs, context_sensitive=context_sensitive)
-    report = _combine([(graph, 1) for graph in graphs], None,
-                      context_sensitive, jobs, faults, fanin).report
-    return report.graph, report.collapse_stats
 
 
 def combine_store_jobs(store, context_sensitive=True, jobs=1, fanin=None,

@@ -41,6 +41,7 @@ import sys
 import threading
 
 from . import obs
+from .core.measure import MULTI_RUN_COLLAPSE_MODES
 from .core.policy import CutPolicy
 from .errors import PolicyViolation, ReproError
 from .lang import check as lang_check
@@ -528,7 +529,7 @@ def build_parser():
                    help="worker processes (default 1: in-process, "
                         "bit-identical results either way)")
     p.add_argument("--collapse", default="context",
-                   choices=["context", "location"])
+                   choices=MULTI_RUN_COLLAPSE_MODES)
     _add_backend_flag(p)
     p.add_argument("--no-warm-start", dest="no_warm_start",
                    action="store_true",
@@ -574,7 +575,7 @@ def build_parser():
                         "corpus size / jobs, i.e. one level plus the "
                         "root fold)")
     p.add_argument("--collapse", default="context",
-                   choices=["context", "location"])
+                   choices=MULTI_RUN_COLLAPSE_MODES)
     p.add_argument("--no-warm-start", dest="no_warm_start",
                    action="store_true",
                    help="solve the root fold's intermediates cold "

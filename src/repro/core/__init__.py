@@ -12,12 +12,12 @@ from .tracker import (PUBLIC, CollapsingTraceBuilder, Provenance,
 from .regions import DeclaredOutput, RegionWriteChecker
 from .lazyranges import (LazyRangeTable, MAX_DESCRIPTORS, MAX_EXCEPTIONS,
                          MIN_RANGE, RangeDescriptor)
-from .measure import COLLAPSE_MODES, measure_graph, measure_runs
+from .measure import (COLLAPSE_MODES, MULTI_RUN_COLLAPSE_MODES,
+                      measure_graph, measure_runs)
 from .multisecret import CategoryBounds, measure_by_category
 from .combine import (IncrementalKraft, StreamingCombiner,
-                      code_lengths_for, consistent_bounds,
-                      demonstrate_inconsistency, kraft_satisfied,
-                      kraft_sum)
+                      code_lengths_for, demonstrate_inconsistency,
+                      kraft_satisfied, kraft_sum)
 from .report import CutDescription, FlowReport
 from .policy import CutPolicy, FlowPolicy
 from .checking import CheckResult, CheckTracker, UnexpectedFlow
@@ -31,11 +31,11 @@ __all__ = [
     "DeclaredOutput", "RegionWriteChecker",
     "LazyRangeTable", "MAX_DESCRIPTORS", "MAX_EXCEPTIONS", "MIN_RANGE",
     "RangeDescriptor",
-    "COLLAPSE_MODES", "measure_graph", "measure_runs",
+    "COLLAPSE_MODES", "MULTI_RUN_COLLAPSE_MODES", "measure_graph",
+    "measure_runs",
     "CategoryBounds", "measure_by_category",
     "IncrementalKraft", "StreamingCombiner", "code_lengths_for",
-    "consistent_bounds", "demonstrate_inconsistency", "kraft_satisfied",
-    "kraft_sum",
+    "demonstrate_inconsistency", "kraft_satisfied", "kraft_sum",
     "CutDescription", "FlowReport",
     "CutPolicy", "FlowPolicy",
     "CheckResult", "CheckTracker", "UnexpectedFlow",

@@ -21,7 +21,7 @@ from ..graph.collapse import CollapseStats, collapse_graphs
 from ..graph.flowgraph import INF
 from ..graph.maxflow import WarmStart, dinic_max_flow
 from ..graph.mincut import min_cut_from_residual
-from .measure import _publish, measure_runs
+from .measure import _publish
 from .report import FlowReport
 
 
@@ -51,20 +51,10 @@ def code_lengths_for(num_messages):
     return (num_messages - 1).bit_length()
 
 
-def consistent_bounds(graphs, stats_list=None, collapse="context"):
-    """A single sound bound covering all ``graphs`` (Section 3.2).
-
-    Combines the runs' graphs by edge label and measures the result; the
-    returned report's ``bits`` is sound for the whole set of runs in the
-    Kraft sense (it corresponds to one fixed cut position, i.e. one code).
-    """
-    return measure_runs(graphs, collapse=collapse, stats_list=stats_list)
-
-
 class StreamingCombiner:
     """Fold run graphs in one at a time, re-solving incrementally.
 
-    The streaming counterpart of :func:`consistent_bounds` /
+    The streaming counterpart of
     :func:`~repro.core.measure.measure_runs`: each :meth:`add` combines
     the new run's graph into the accumulated combined graph (the same
     label-driven union-find as the one-shot path -- contiguous-order

@@ -30,6 +30,10 @@ from .report import FlowReport
 #: ``"location"`` merges by location only (smallest graph).
 COLLAPSE_MODES = ("none", "context", "location")
 
+#: Collapse modes that can combine several runs: merging the runs'
+#: graphs needs a merge key, which ``"none"`` does not have.
+MULTI_RUN_COLLAPSE_MODES = ("context", "location")
+
 def _publish(metrics, solved, value, cut):
     """Record the result gauges of one measurement.
 
@@ -120,8 +124,7 @@ def measure_graph(graph, collapse="context", stats=None, warnings=None):
     )
 
 
-def measure_runs(graphs, collapse="context", stats_list=None, warnings=None,
-                 jobs=1, faults=None, store=None):
+def measure_runs(graphs, collapse="context", stats_list=None, warnings=None):
     """Measure several runs *together* (Section 3.2).
 
     The graphs are combined by edge label before solving, which forces a
@@ -130,46 +133,27 @@ def measure_runs(graphs, collapse="context", stats_list=None, warnings=None,
     could carry any of the runs' messages... more precisely, the sum of
     per-run flows is feasible in the combined graph).
 
-    The serial call is the one-shot reference: one
+    This is the serial one-shot reference: one
     :func:`~repro.graph.collapse.collapse_graphs` and one cold
-    :func:`~repro.graph.maxflow.dinic_max_flow` solve.  ``jobs > 1`` or
-    a ``store`` hands the graphs to the package's one multi-run combine
-    (:mod:`repro.batch.runs`) instead: a tree reduction across worker
-    processes and a warm-started streaming root fold with Dinic's
-    algorithm.  The bound, cut, and
-    combined graph are identical to the serial result.  A collecting
-    ``faults`` policy there can drop failed subtrees; the report then
-    comes back marked ``partial`` with the failures noted in
-    ``collapse_stats.failures``.
+    :func:`~repro.graph.maxflow.dinic_max_flow` solve.  The parallel
+    and corpus combine is :func:`repro.batch.combine_store_jobs`, whose
+    bound, cut, and combined graph equal this one's.
 
-    ``store`` (a :class:`~repro.store.ShardStore` or a directory path)
-    appends the graphs to the store content-addressed first (identical
-    graphs dedup to a multiplicity) and computes the bound over the
-    *entire* store corpus — so the report also covers shards appended
-    in earlier calls against the same store.  On a fresh store the
-    result is bit-identical to the plain combine of ``graphs``.
+    Args:
+        collapse: one of :data:`MULTI_RUN_COLLAPSE_MODES`; ``"none"``
+            raises ``ValueError``, since runs merge by label.
     """
-    if collapse not in COLLAPSE_MODES:
-        raise ValueError("collapse must be one of %r, got %r"
-                         % (COLLAPSE_MODES, collapse))
+    if collapse not in MULTI_RUN_COLLAPSE_MODES:
+        raise ValueError("multi-run collapse must be one of %r, got %r"
+                         % (MULTI_RUN_COLLAPSE_MODES, collapse))
     graphs = list(graphs)
-    context_sensitive = collapse == "context"
     metrics = obs.get_metrics()
     tracer = obs.get_tracer()
-    span = tracer.span("measure.runs", runs=len(graphs), collapse=collapse,
-                       jobs=jobs or 1)
-    if store is not None or (jobs and jobs > 1):
-        from ..batch.runs import _combine_graphs
-        with span, metrics.phase("measure"):
-            report = _combine_graphs(graphs, context_sensitive, jobs or 1,
-                                     faults, store, stats_list,
-                                     warnings).report
-            span.set(bits=report.bits)
-        return report
+    span = tracer.span("measure.runs", runs=len(graphs), collapse=collapse)
     with span, metrics.phase("measure"):
         with metrics.phase("collapse"):
             combined, collapse_stats = collapse_graphs(
-                graphs, context_sensitive=context_sensitive)
+                graphs, context_sensitive=collapse == "context")
         value, residual = dinic_max_flow(combined)
         with metrics.phase("mincut"):
             cut = min_cut_from_residual(combined, residual)

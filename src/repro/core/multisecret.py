@@ -87,8 +87,7 @@ def _solve_with_categories(graph, category_edges, enabled):
     return value, min_cut_from_residual(restricted, residual)
 
 
-def measure_by_category(graph, category_edges, collapse="none",
-                        stats=None, jobs=1, faults=None):
+def measure_by_category(graph, category_edges, collapse="none", stats=None):
     """Measure one graph per-category and jointly.
 
     Args:
@@ -103,20 +102,11 @@ def measure_by_category(graph, category_edges, collapse="none",
             coarser (never lower) when categories share program points
             — see ``docs/performance.md``.
         stats: optional tracker stats for the joint report.
-        jobs: fan the per-category solves over this many worker
-            processes (:func:`repro.batch.runs.measure_by_category_jobs`);
-            bounds and cuts are identical to the serial sweep.
-        faults: a :class:`~repro.batch.engine.FaultPolicy` for the
-            parallel sweep; under ``on_error="collect"`` failed
-            categories land in the result's ``failures``.
 
-    Returns a :class:`CategoryBounds`.
+    Returns a :class:`CategoryBounds`.  The parallel sweep, with
+    identical bounds and cuts, is
+    :func:`repro.batch.measure_by_category_jobs`.
     """
-    if jobs and jobs > 1:
-        from ..batch.runs import measure_by_category_jobs
-        return measure_by_category_jobs(graph, category_edges,
-                                        collapse=collapse, stats=stats,
-                                        jobs=jobs, faults=faults)
     per_category = {}
     reports = {}
     for category in sorted(category_edges):

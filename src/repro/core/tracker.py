@@ -539,8 +539,9 @@ class CollapsingTraceBuilder(TraceBuilder):
     the plain builder's graph: same partition, same collapsed edge
     capacities, same max-flow bound.
 
-    Not for multi-run combination: :func:`~repro.graph.collapse.combine_runs`
-    stays the (only) path for Section 3.2, and remains the reference
+    Not for multi-run combination: Section 3.2 combines finished run
+    graphs (:func:`~repro.core.measure.measure_runs`), and the post-hoc
+    :func:`~repro.graph.collapse.collapse_graphs` stays the reference
     implementation for this builder's equivalence suite.
 
     Args:

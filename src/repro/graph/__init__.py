@@ -11,8 +11,7 @@ from .flowgraph import INF, Edge, EdgeLabel, FlowGraph
 from .maxflow import ResidualNetwork, WarmStart, dinic_max_flow
 from .mincut import CutEdge, MinCut, min_cut, min_cut_from_residual
 from .collapse import (CollapseStats, OnlineCollapser, collapse_graph,
-                       collapse_graph_online, collapse_graphs, combine_runs,
-                       dedup_safe)
+                       collapse_graph_online, collapse_graphs, dedup_safe)
 from .seriesparallel import SPReduction, reduce_series_parallel
 from .unionfind import UnionFind
 from .dot import to_dot, write_dot
@@ -26,8 +25,7 @@ __all__ = [
     "ResidualNetwork", "WarmStart", "dinic_max_flow",
     "CutEdge", "MinCut", "min_cut", "min_cut_from_residual",
     "CollapseStats", "OnlineCollapser", "collapse_graph",
-    "collapse_graph_online", "collapse_graphs", "combine_runs",
-    "dedup_safe",
+    "collapse_graph_online", "collapse_graphs", "dedup_safe",
     "SPReduction", "reduce_series_parallel",
     "UnionFind",
     "to_dot", "write_dot",

@@ -514,31 +514,3 @@ def collapse_graph_online(graph, context_sensitive=True):
     stats = CollapseStats(graph.num_nodes, graph.num_edges,
                           combined.num_nodes, combined.num_edges)
     return combined, stats
-
-
-def combine_runs(graphs, context_sensitive=True, jobs=1, faults=None,
-                 store=None):
-    """Combine the graphs of multiple runs (Section 3.2).
-
-    Alias of :func:`collapse_graphs`, named for the multi-run use case.
-    ``jobs > 1`` or a ``store`` hands the graphs to the package's one
-    multi-run combine (:mod:`repro.batch.runs`): chunks merge level by
-    level across the worker pool and the parent folds only the last
-    level, so no process ever holds more than O(coverage) graph.
-    ``faults`` (a :class:`~repro.batch.engine.FaultPolicy`) configures
-    that fan-out's failure handling; failed subtrees are listed in the
-    returned stats' ``failures``.
-
-    ``store`` (a :class:`~repro.store.ShardStore` or a directory path)
-    appends the graphs to a content-addressed corpus first and combines
-    the *whole* store — identical graphs dedup to a multiplicity, and
-    reduction levels exchange digests instead of graphs.  Either way,
-    on a fresh store or none, the returned ``(graph, stats)`` is
-    bit-identical to the serial combine.
-    """
-    if store is None and not (jobs and jobs > 1):
-        return collapse_graphs(graphs, context_sensitive=context_sensitive)
-    from ..batch.runs import _combine_graphs
-    report = _combine_graphs(list(graphs), context_sensitive, jobs or 1,
-                             faults, store).report
-    return report.graph, report.collapse_stats

@@ -805,20 +805,17 @@ class Session:
             raise TraceError("session already finished")
         return measure_graph(self.tracker.graph, collapse=collapse).bits
 
-    def measure_by_category(self, collapse="none", exit_observable=True,
-                            jobs=1):
+    def measure_by_category(self, collapse="none", exit_observable=True):
         """Finish and measure per secret category (§10.1).
 
         Returns a :class:`~repro.core.multisecret.CategoryBounds`; only
         meaningful when inputs were tagged with ``category=...``.
-        ``jobs > 1`` solves the categories in parallel worker processes
-        with identical results.
         """
         from ..core.multisecret import measure_by_category
         graph = self.finish(exit_observable=exit_observable)
         return measure_by_category(graph, self.tracker.category_edges,
                                    collapse=collapse,
-                                   stats=self.tracker.stats, jobs=jobs)
+                                   stats=self.tracker.stats)
 
     def check_result(self, exit_observable=True):
         """Finish a checking session; returns its CheckResult."""

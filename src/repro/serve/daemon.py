@@ -62,8 +62,9 @@ import weakref
 
 from .. import obs
 from ..batch.engine import PENDING, BatchEngine, FaultPolicy, JobFailure
-from ..batch.runs import BATCH_COLLAPSE_MODES, _combine, _trace_run_job
+from ..batch.runs import _combine, _trace_run_job
 from ..core.combine import IncrementalKraft
+from ..core.measure import MULTI_RUN_COLLAPSE_MODES
 from ..core.policy import CutPolicy
 from ..durable import LineLog, atomic_write, read_lines
 from ..errors import ServeError
@@ -146,9 +147,9 @@ def validate_spec(spec):
         except (TypeError, ValueError):
             raise ValueError("spec.public_hex must be a hex string")
     collapse = spec.get("collapse", "context")
-    if collapse not in BATCH_COLLAPSE_MODES:
+    if collapse not in MULTI_RUN_COLLAPSE_MODES:
         raise ValueError("spec.collapse must be one of %r"
-                         % (BATCH_COLLAPSE_MODES,))
+                         % (MULTI_RUN_COLLAPSE_MODES,))
     backend = spec.get("backend")
     if backend is not None and backend not in _BACKEND_CHOICES:
         raise ValueError("spec.backend must be null or one of %r"

@@ -16,10 +16,10 @@ import random
 
 import pytest
 
-from repro.batch import combine_graphs_jobs, combine_store_jobs
+from repro.batch import combine_store_jobs
 from repro.core.measure import measure_runs
 from repro.errors import BatchError
-from repro.graph.collapse import collapse_graphs, combine_runs, dedup_safe
+from repro.graph.collapse import collapse_graphs, dedup_safe
 from repro.graph.flowgraph import EdgeLabel, FlowGraph
 from repro.graph.serialize import dump_graph
 from repro.store import ShardStore
@@ -134,16 +134,18 @@ def assert_trail_sound(store_result):
 
 
 class TestTreeReduction:
-    """``combine_graphs_jobs`` ≡ one-shot ``collapse_graphs``."""
+    """``combine_store_jobs`` over a tree ≡ one-shot ``collapse_graphs``."""
 
-    def test_randomized_equivalence(self):
+    def test_randomized_equivalence(self, tmp_path):
         rng = random.Random(101)
         for trial in range(8):
             graphs = [shard(rng) for _ in range(rng.randrange(3, 12))]
             serial_graph, serial_stats = collapse_graphs(graphs)
+            store = fill_store(tmp_path / ("tree-%d" % trial), graphs)
             for jobs, fanin in ((2, None), (3, 2), (2, 3), (4, 7)):
-                tree_graph, tree_stats = combine_graphs_jobs(
-                    graphs, jobs=jobs, fanin=fanin)
+                report = combine_store_jobs(store, jobs=jobs,
+                                            fanin=fanin).report
+                tree_graph, tree_stats = report.graph, report.collapse_stats
                 assert graph_text(tree_graph) == graph_text(serial_graph), \
                     (trial, jobs, fanin)
                 assert (tree_stats.original_nodes,
@@ -155,11 +157,12 @@ class TestTreeReduction:
                      serial_stats.collapsed_nodes,
                      serial_stats.collapsed_edges)
 
-    def test_bad_fanin_rejected(self):
+    def test_bad_fanin_rejected(self, tmp_path):
         rng = random.Random(5)
+        store = fill_store(tmp_path / "fanin",
+                           [shard(rng) for _ in range(4)])
         with pytest.raises(ValueError):
-            combine_graphs_jobs([shard(rng) for _ in range(4)],
-                                jobs=2, fanin=1)
+            combine_store_jobs(store, jobs=2, fanin=1)
 
 
 class TestStoreEquivalence:
@@ -207,7 +210,8 @@ class TestStoreEquivalence:
         rng = random.Random(229)
         runs, _ = corpus(rng, distinct_count=2, run_count=8)
         reference = measure_runs(runs)
-        via_store = measure_runs(runs, store=tmp_path / "mr", jobs=2)
+        via_store = combine_store_jobs(fill_store(tmp_path / "mr", runs),
+                                       jobs=2).report
         assert via_store.bits == reference.bits
         assert graph_text(via_store.graph) == graph_text(reference.graph)
         assert cut_fingerprint(via_store.mincut) == \
@@ -292,12 +296,11 @@ class TestDescriptors:
         monkeypatch.setattr(ShardStore, "__init__", keep)
         runs, _ = corpus(random.Random(503), distinct_count=3, run_count=8)
         before = open_packs()
-        for _ in range(3):
-            # jobs=2 over 8 graphs runs a tree level through a
-            # temporary store.
-            combine_runs(runs, jobs=2)
         root = tmp_path / "corpus"
-        combine_runs(runs, store=root)
+        with ShardStore(root) as store:
+            for graph in runs:
+                store.put(graph)
         combine_store_jobs(root, jobs=2, fanin=2)
-        assert len(opened) == 5
+        combine_store_jobs(root, jobs=1)
+        assert len(opened) == 3
         assert open_packs() == before

@@ -68,11 +68,19 @@ def kept_pids():
 
 
 def is_dead(pid):
-    """Gone, or a zombie nobody has reaped yet."""
+    """Exited: gone, or a zombie whose every thread has exited.
+
+    A worker runs a parent-watch thread.  After a SIGKILL its leader
+    reads ``Z`` while that thread is still exiting and still holds the
+    shared fd table, so the pool's sentinel pipe is not yet at EOF; the
+    process has exited only once ``task/`` lists the leader alone.
+    """
     try:
         with open("/proc/%d/stat" % pid) as handle:
-            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
-    except FileNotFoundError:
+            if handle.read().rsplit(")", 1)[1].split()[0] != "Z":
+                return False
+        return os.listdir("/proc/%d/task" % pid) == [str(pid)]
+    except (FileNotFoundError, ProcessLookupError):
         return True
 
 

@@ -14,14 +14,15 @@ import random
 import pytest
 
 from repro.apps.countpunct import FLOWLANG_SOURCE as COUNTPUNCT
+from repro.batch import combine_store_jobs, measure_program_runs
 from repro.batch import runs as runs_module
 from repro.core.combine import StreamingCombiner
 from repro.core.measure import measure_runs
 from repro.core.tracker import TraceBuilder
-from repro.lang import compile_cached, execute
+from repro.lang import compile_cached, execute, measure_many
 
-from .test_corpus_combine import (corpus, cut_fingerprint, graph_text,
-                                  shard, unsafe_shard)
+from .test_corpus_combine import (corpus, cut_fingerprint, fill_store,
+                                  graph_text, shard, unsafe_shard)
 
 
 def traced_runs(rng, count):
@@ -66,26 +67,35 @@ class TestWarmColdSameCut:
             warm = warm_report(runs, context_sensitive=collapse == "context")
             assert_same_cut(warm, measure_runs(runs, collapse=collapse))
 
-    def test_parallel_measure_runs_same_cut(self):
+    def test_parallel_measure_runs_same_cut(self, tmp_path):
         rng = random.Random(521)
         runs = traced_runs(rng, 6)
         serial = measure_runs(runs)
-        assert_same_cut(measure_runs(runs, jobs=2), serial)
-        assert_same_cut(measure_runs(runs, jobs=3), serial)
+        store = fill_store(tmp_path / "runs", runs)
+        assert_same_cut(combine_store_jobs(store, jobs=2).report, serial)
+        assert_same_cut(combine_store_jobs(store, jobs=3).report, serial)
 
 
 class TestCollapseValidation:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_measure_runs_rejects_unknown_mode(self, jobs):
+    def test_measure_runs_rejects_unknown_mode(self):
         runs = traced_runs(random.Random(7), 3)
         with pytest.raises(ValueError, match="contxt"):
-            measure_runs(runs, collapse="contxt", jobs=jobs)
+            measure_runs(runs, collapse="contxt")
 
     def test_measure_runs_rejects_unknown_mode_with_store(self, tmp_path):
-        runs = traced_runs(random.Random(11), 2)
         with pytest.raises(ValueError, match="contxt"):
-            measure_runs(runs, collapse="contxt", store=tmp_path / "s")
+            measure_program_runs(COUNTPUNCT, [b"a.", b"b?"],
+                                 collapse="contxt", store=tmp_path / "s")
         assert not (tmp_path / "s").exists()
+
+    def test_multi_run_rejects_none(self):
+        # Runs merge by label; "none" has no merge key, and must not
+        # fall through to a location-keyed combine.
+        runs = traced_runs(random.Random(13), 3)
+        with pytest.raises(ValueError, match="'none'"):
+            measure_runs(runs, collapse="none")
+        with pytest.raises(ValueError, match="'none'"):
+            measure_many(COUNTPUNCT, [b"a.", b"b?", b"c!"], collapse="none")
 
 
 class TestInMemoryCombine:
@@ -101,16 +111,6 @@ class TestInMemoryCombine:
         assert result.levels == 1
         assert (result.attempted, result.covered, result.distinct) == \
             (5, 5, 5)
-
-    def test_tree_level_store_is_temporary(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
-        rng = random.Random(607)
-        runs = [shard(rng) for _ in range(7)]
-        result = runs_module._combine([(graph, 1) for graph in runs], None,
-                                      jobs=2, fanin=2)
-        assert result.levels > 1
-        assert_same_cut(result.report, measure_runs(runs))
-        assert list(tmp_path.iterdir()) == []
 
     def test_in_memory_trail_is_sound(self):
         rng = random.Random(613)

@@ -15,14 +15,17 @@ import pytest
 
 from repro import obs
 from repro.apps.countpunct import FLOWLANG_SOURCE as COUNTPUNCT
-from repro.batch import measure_program_runs
+from repro.batch import (combine_store_jobs, measure_by_category_jobs,
+                         measure_program_runs)
 from repro.core.measure import measure_runs
 from repro.core.multisecret import measure_by_category
 from repro.core.tracker import TraceBuilder
-from repro.graph.collapse import combine_runs
+from repro.graph.collapse import collapse_graphs
 from repro.graph.serialize import dump_graph
 from repro.lang import compile_cached, execute
 from repro.pytrace import Session
+
+from .test_corpus_combine import fill_store
 
 BRANCHY = """
 fn main() {
@@ -154,11 +157,14 @@ class TestCombineEquivalence:
         (8, "location", 2),
         (13, "context", 5),
     ])
-    def test_measure_runs_jobs_bit_identical(self, seed, collapse, jobs):
+    def test_measure_runs_jobs_bit_identical(self, seed, collapse, jobs,
+                                             tmp_path):
         graphs, stats = self.traced_graphs(seed, 6)
         serial = measure_runs(graphs, collapse=collapse, stats_list=stats)
-        parallel = measure_runs(graphs, collapse=collapse,
-                                stats_list=stats, jobs=jobs)
+        parallel = combine_store_jobs(
+            fill_store(tmp_path / "runs", graphs),
+            context_sensitive=collapse == "context", jobs=jobs,
+            stats_list=stats).report
         assert parallel.bits == serial.bits
         assert graph_text(parallel.graph) == graph_text(serial.graph)
         assert cut_fingerprint(parallel.mincut) == \
@@ -168,10 +174,12 @@ class TestCombineEquivalence:
         assert parallel.collapse_stats.collapsed_nodes == \
             serial.collapse_stats.collapsed_nodes
 
-    def test_combine_runs_jobs_bit_identical(self):
+    def test_combine_runs_jobs_bit_identical(self, tmp_path):
         graphs, _stats = self.traced_graphs(42, 5)
-        serial, serial_stats = combine_runs(graphs)
-        parallel, parallel_stats = combine_runs(graphs, jobs=2)
+        serial, serial_stats = collapse_graphs(graphs)
+        report = combine_store_jobs(fill_store(tmp_path / "runs", graphs),
+                                    jobs=2).report
+        parallel, parallel_stats = report.graph, report.collapse_stats
         assert graph_text(parallel) == graph_text(serial)
         assert parallel_stats.original_nodes == serial_stats.original_nodes
         assert parallel_stats.collapsed_edges == \
@@ -258,7 +266,7 @@ class TestCategorySweepEquivalence:
     def test_sweep_bit_identical(self, seed):
         graph, category_edges = self.random_session(seed)
         serial = measure_by_category(graph, category_edges)
-        parallel = measure_by_category(graph, category_edges, jobs=2)
+        parallel = measure_by_category_jobs(graph, category_edges, jobs=2)
         assert parallel.per_category == serial.per_category
         assert parallel.joint == serial.joint
         assert parallel.crowding_out == serial.crowding_out

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import measure_graph, measure_runs
-from repro.core.combine import (code_lengths_for, consistent_bounds,
-                                demonstrate_inconsistency, kraft_satisfied,
-                                kraft_sum)
+from repro.core.combine import (code_lengths_for, demonstrate_inconsistency,
+                                kraft_satisfied, kraft_sum)
 from repro.core.tracker import TraceBuilder
 
 from .helpers import unary_printer_events
@@ -106,7 +105,7 @@ class TestCombinedRuns:
 
     def test_consistent_bounds_helper(self):
         graphs, stats = zip(*(self.run_graph(n) for n in (1, 2)))
-        report = consistent_bounds(list(graphs), stats_list=list(stats))
+        report = measure_runs(list(graphs), stats_list=list(stats))
         assert report.bits == 5  # unary cut: 2 + 3
 
     def test_merged_stats_summed(self):

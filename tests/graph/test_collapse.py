@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph.collapse import collapse_graph, collapse_graphs, combine_runs
+from repro.graph.collapse import collapse_graph, collapse_graphs
 from repro.graph.flowgraph import INF, EdgeLabel, FlowGraph
 from repro.graph.generators import random_dag
 from repro.graph.maxflow import dinic_max_flow
@@ -145,7 +145,7 @@ class TestMultiRunCombination:
     def test_sources_and_sinks_identified(self):
         g1 = loop_graph(3)
         g2 = loop_graph(7)
-        combined, _ = combine_runs([g1, g2])
+        combined, _ = collapse_graphs([g1, g2])
         # Each run contributes 8 bits at the same labels: capacities sum.
         assert dinic_max_flow(combined)[0] == 16
 
@@ -154,7 +154,7 @@ class TestMultiRunCombination:
         # indeed >= their sum when the runs use the same locations.
         runs = [loop_graph(n) for n in (2, 5, 9)]
         individual = [dinic_max_flow(g)[0] for g in runs]
-        combined, _ = combine_runs(runs)
+        combined, _ = collapse_graphs(runs)
         assert dinic_max_flow(combined)[0] >= max(individual)
 
     def test_distinct_locations_stay_separate(self):
@@ -163,7 +163,8 @@ class TestMultiRunCombination:
             g.add_edge(g.source, g.sink, cap, EdgeLabel(location, kind="io"))
             return g
 
-        combined, _ = combine_runs([one_edge("siteA", 3), one_edge("siteB", 4)])
+        combined, _ = collapse_graphs([one_edge("siteA", 3),
+                                       one_edge("siteB", 4)])
         by_loc = {e.label.location: e.capacity for e in combined.edges}
         assert by_loc == {"siteA": 3, "siteB": 4}
 
@@ -171,7 +172,7 @@ class TestMultiRunCombination:
         # All chain edges share one label, so the whole chain merges into
         # a single cluster and the chain edges vanish as self-loops; the
         # entry/exit edges still carry the flow.
-        combined, _ = combine_runs([loop_graph(3, location="siteA")])
+        combined, _ = collapse_graphs([loop_graph(3, location="siteA")])
         assert all(e.tail != e.head for e in combined.edges)
         assert dinic_max_flow(combined)[0] == 8
 

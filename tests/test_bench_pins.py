@@ -28,6 +28,7 @@ from repro.apps.bzip2 import measure_compression_flow  # noqa: E402
 from repro.apps.countpunct import FLOWLANG_SOURCE  # noqa: E402
 from repro.apps.pi import workload_of_size  # noqa: E402
 from repro.batch import combine_store_jobs  # noqa: E402
+from repro.batch import measure_by_category_jobs  # noqa: E402
 from repro.batch import measure_program_runs  # noqa: E402
 from repro.core.combine import StreamingCombiner  # noqa: E402
 from repro.core.multisecret import measure_by_category  # noqa: E402
@@ -90,9 +91,8 @@ def batch_multisecret(_tmp):
         mixed = total if mixed is None else mixed ^ total
     session.output(mixed)
     graph = session.finish()
-    for jobs in (1, 4):
-        measure_by_category(graph, session.tracker.category_edges,
-                            jobs=jobs)
+    measure_by_category(graph, session.tracker.category_edges)
+    measure_by_category_jobs(graph, session.tracker.category_edges, jobs=4)
 
 
 def backends(_tmp):

@@ -4,11 +4,11 @@ nothing reaches for a compiled extension, and Dinic is the one max-flow
 solver.
 
 ``repro.graph`` and ``repro.core`` sit below the batch engine, the
-shard store, and the measurement service.  The only way up is one lazy
-import inside each of the three entry points that can fan out to a
-worker pool — ``combine_runs``, ``measure_runs``, and
-``measure_by_category`` — so importing the lower layers never loads
-the upper ones.
+shard store, and the measurement service, and import nothing from
+them, not even lazily inside a function: the parallel entry points
+(``combine_store_jobs``, ``measure_by_category_jobs``) live in
+``repro.batch`` and call down, so importing the lower layers never
+loads the upper ones.
 """
 
 import ast
@@ -23,11 +23,7 @@ from repro.core.measure import measure_graph, measure_runs
 UPPER = ("repro.batch", "repro.store", "repro.serve")
 
 #: (file under the package, enclosing function) of every allowed import
-ALLOWED = [
-    ("core/measure.py", "measure_runs"),
-    ("core/multisecret.py", "measure_by_category"),
-    ("graph/collapse.py", "combine_runs"),
-]
+ALLOWED = []
 
 PACKAGE_ROOT = os.path.dirname(os.path.abspath(repro.__file__))
 
