@@ -230,14 +230,14 @@ def measure_program_runs(source, secret_inputs, public_input=b"",
     Returns a :class:`BatchResult` — partial, with a ``failures`` list,
     when runs failed under ``on_error="collect"``.
 
-    With ``warm_start`` (the default) the merge folds the worker
-    graphs in one at a time through a
-    :class:`~repro.core.combine.StreamingCombiner`, re-solving each
-    intermediate combined graph from the previous residual — the
-    ``maxflow.warm_start.*`` counters report the reuse.  The final
-    bound, combined graph, and minimum cut are identical to the
-    one-shot combination (``warm_start=False``, the ``repro batch
-    --no-warm-start`` path).
+    ``warm_start`` picks which of the two combines merges the worker
+    graphs.  With ``True`` (the default) they go through the one
+    multi-run combine, a :class:`~repro.core.combine.StreamingCombiner`
+    root fold that solves once at the end.  With ``False`` (``repro
+    batch --no-warm-start``) they go to
+    :func:`~repro.core.measure.measure_runs`, the serial one-shot
+    reference.  The bound, combined graph, and minimum cut are
+    identical either way.  A ``store`` always takes the streaming fold.
 
     ``store`` (a :class:`~repro.store.ShardStore` or a directory path,
     created if missing) switches the merge to the corpus pipeline: each
@@ -309,7 +309,7 @@ def measure_program_runs(source, secret_inputs, public_input=b"",
         if shard_store is not None:
             report = combine_store_jobs(
                 shard_store, context_sensitive=context_sensitive,
-                jobs=jobs, faults=engine.faults, warm_start=warm_start,
+                jobs=jobs, faults=engine.faults,
                 stats_list=stats_list, warnings=warnings).report
         elif warm_start:
             # A root-only fold in the parent: no second pool, no disk.
@@ -335,7 +335,7 @@ def measure_program_runs(source, secret_inputs, public_input=b"",
 
 
 # ----------------------------------------------------------------------
-# The §3.2 combine: tree reduction + warm-started streaming root fold
+# The §3.2 combine: tree reduction + streaming root fold, one solve
 
 
 class StoreCombineResult:
@@ -435,8 +435,7 @@ def _store_combine_chunk_job(payload):
 
 
 def _combine(refs, store, context_sensitive=True, jobs=1, faults=None,
-             fanin=None, warm_start=True, stats_list=None, warnings=None,
-             metas=None):
+             fanin=None, stats_list=None, warnings=None, metas=None):
     """The §3.2 multi-run combine; returns a :class:`StoreCombineResult`.
 
     Every combine entry point ends here.  ``refs`` is an ordered list
@@ -448,15 +447,15 @@ def _combine(refs, store, context_sensitive=True, jobs=1, faults=None,
     which is then sealed.  While more than one chunk remains, a
     reduction level left-folds contiguous chunks across the worker
     pool, exchanging only store digests.  The survivors are folded at
-    the root through one warm-started
-    :class:`~repro.core.combine.StreamingCombiner`, merging their Kraft
-    groups step by step, and the accountant snaps to the exact bound.
+    the root through one :class:`~repro.core.combine.StreamingCombiner`,
+    merging their Kraft groups step by step from the running graph's
+    structural cuts, and the one max-flow solve of the combine then
+    snaps the accountant to the exact bound.
     ``metas`` optionally maps digests to the store metadata the caller
     has already read, so no shard's metadata is read twice.
 
     The union-find merge is associative over ordered contiguous
-    chunks, and a warm-started solve exposes the same canonical cut as
-    a cold one, so the combined graph, bound, and cut equal the
+    chunks, so the combined graph, bound, and cut equal the
     one-shot :func:`~repro.graph.collapse.collapse_graphs` + solve over
     the expanded refs, whatever the topology.  Under a collecting
     ``faults`` policy a failed chunk drops its subtree, a shard that
@@ -521,9 +520,8 @@ def _combine(refs, store, context_sensitive=True, jobs=1, faults=None,
                     "all %d combination chunks failed (first failure: %s)"
                     % (len(outcomes), failures[0]))
             items, gids = next_items, next_gids
-        # Root level: stream the survivors through warm-started solves.
-        combiner = StreamingCombiner(context_sensitive=context_sensitive,
-                                     warm_start=warm_start)
+        # Root level: fold the survivors in; the solve waits for the end.
+        combiner = StreamingCombiner(context_sensitive=context_sensitive)
         acc_gid = None
         for index, ((shard, mult, nodes, edges, runs), gid) \
                 in enumerate(zip(items, gids)):
@@ -577,8 +575,7 @@ def _open_store(store, cleanup, create=True):
 
 def combine_store_jobs(store, context_sensitive=True, jobs=1, fanin=None,
                        timeout=None, retries=0, on_error="raise",
-                       faults=None, warm_start=True, stats_list=None,
-                       warnings=None):
+                       faults=None, stats_list=None, warnings=None):
     """Combine a :class:`~repro.store.ShardStore` corpus by tree
     reduction; returns a :class:`StoreCombineResult`.
 
@@ -589,8 +586,8 @@ def combine_store_jobs(store, context_sensitive=True, jobs=1, fanin=None,
     through the plain :func:`~repro.graph.collapse.collapse_graphs`
     path.  Reduction levels run across the worker pool exchanging only
     store references; the root level streams the surviving subtrees
-    through a :class:`~repro.core.combine.StreamingCombiner` with
-    warm-started re-solves.  Incremental Kraft accounting
+    through a :class:`~repro.core.combine.StreamingCombiner` and solves
+    the result once.  Incremental Kraft accounting
     (:class:`~repro.core.combine.IncrementalKraft`) maintains a sound
     anytime upper bound throughout; the trail is returned as
     ``result.anytime``.
@@ -617,7 +614,7 @@ def combine_store_jobs(store, context_sensitive=True, jobs=1, fanin=None,
             refs = [(digest, 1) for digest in store.order()]
         return _combine(refs, store, context_sensitive, jobs,
                         _fault_policy(faults, timeout, retries, on_error),
-                        fanin, warm_start, stats_list, warnings, metas)
+                        fanin, stats_list, warnings, metas)
 
 
 # ----------------------------------------------------------------------

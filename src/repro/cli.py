@@ -369,8 +369,7 @@ def cmd_combine(args):
         result = combine_store_jobs(
             store, context_sensitive=(args.collapse == "context"),
             jobs=args.jobs, fanin=args.fanin, timeout=args.timeout,
-            retries=args.retries, on_error=args.on_error,
-            warm_start=not args.no_warm_start)
+            retries=args.retries, on_error=args.on_error)
     report = result.report
     if args.json:
         cut = CutPolicy.from_report(report)
@@ -533,10 +532,10 @@ def build_parser():
     _add_backend_flag(p)
     p.add_argument("--no-warm-start", dest="no_warm_start",
                    action="store_true",
-                   help="combine the runs' graphs in one shot instead of "
-                        "streaming them through warm-started incremental "
-                        "re-solves (same bound either way; see "
-                        "docs/backends.md)")
+                   help="combine the runs' graphs through the serial "
+                        "one-shot reference (measure_runs) instead of the "
+                        "streaming root fold (same bound either way; no "
+                        "effect with --store)")
     _add_budget_flags(p)
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="per-job wall-clock timeout; a hung job's worker "
@@ -576,11 +575,6 @@ def build_parser():
                         "root fold)")
     p.add_argument("--collapse", default="context",
                    choices=MULTI_RUN_COLLAPSE_MODES)
-    p.add_argument("--no-warm-start", dest="no_warm_start",
-                   action="store_true",
-                   help="solve the root fold's intermediates cold "
-                        "instead of warm-starting from the previous "
-                        "residual (same bound either way)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="per-merge-job wall-clock timeout")
     p.add_argument("--retries", type=int, default=0, metavar="N",

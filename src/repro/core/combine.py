@@ -19,7 +19,7 @@ from fractions import Fraction
 from .. import obs
 from ..graph.collapse import CollapseStats, collapse_graphs
 from ..graph.flowgraph import INF
-from ..graph.maxflow import WarmStart, dinic_max_flow
+from ..graph.maxflow import dinic_max_flow
 from ..graph.mincut import min_cut_from_residual
 from .measure import _publish
 from .report import FlowReport
@@ -52,49 +52,43 @@ def code_lengths_for(num_messages):
 
 
 class StreamingCombiner:
-    """Fold run graphs in one at a time, re-solving incrementally.
+    """Fold run graphs in one at a time; solve once, when asked.
 
     The streaming counterpart of
     :func:`~repro.core.measure.measure_runs`: each :meth:`add` combines
     the new run's graph into the accumulated combined graph (the same
     label-driven union-find as the one-shot path -- contiguous-order
     associativity makes the final graph identical to combining the whole
-    list at once) and re-solves.  Because the merged graph is the old
-    graph plus summed capacities, the previous solve's residual is a
-    feasible starting flow, so each re-solve warm-starts from it
-    (:class:`~repro.graph.maxflow.WarmStart`) and only augments the
-    increment -- near-free when a run adds little new coverage.
+    list at once).  The combiner holds the running graph plus the one
+    being added, so memory tracks coverage, not the number of runs.
 
-    After every ``add`` the current Kraft-sound bound over all runs so
-    far is available as :attr:`bits` -- an *anytime* bound that only the
-    streaming path can provide.  The bound and the minimum cut are
-    identical to the one-shot combination's: the max-flow value is
-    unique, and the cut's source side is the set of nodes reachable in
-    the residual network, which is the same for every maximum flow
-    (``docs/backends.md`` has the full argument).
+    :meth:`add` does not solve.  :attr:`bits` and :attr:`residual` are
+    lazy: the first read of either after an add runs one cold
+    :func:`~repro.graph.maxflow.dinic_max_flow` on the current combined
+    graph, and later reads reuse it until the next add.  Reading
+    :attr:`bits` after every add gives an *anytime* Kraft-sound bound
+    over the runs so far; a fold that reads it only at the end solves
+    once.  The bound and the minimum cut are identical to the one-shot
+    combination's, since both solve the same graph (``docs/backends.md``
+    has why the canonical cut does not depend on which maximum flow the
+    solve ends on).
 
     Args:
         context_sensitive: merge-key sensitivity, as for
             :func:`~repro.graph.collapse.collapse_graphs`.
-        warm_start: seed each re-solve from the previous residual;
-            disable to re-solve cold every time (the reference
-            behaviour the equivalence suite compares against).
     """
 
-    def __init__(self, context_sensitive=True, warm_start=True):
+    def __init__(self, context_sensitive=True):
         self.context_sensitive = context_sensitive
-        self.warm_start = warm_start
         self.graph = None
-        self.residual = None
-        self.bits = None
         self.runs = 0
-        self._warm = None
+        self._solution = None
         self._original_nodes = 0
         self._original_edges = 0
 
     def add(self, graph, times=1, original_nodes=None, original_edges=None,
             run_count=None):
-        """Fold one run's graph in and re-solve; returns the new bound.
+        """Fold one run's graph in (no solve).
 
         ``times > 1`` folds that many repeats of the graph in one step
         (the shard-store dedup path), via the same
@@ -126,13 +120,26 @@ class StreamingCombiner:
         self._original_nodes += times * original_nodes
         self._original_edges += times * original_edges
         self.runs += times * (1 if run_count is None else run_count)
-        value, residual = dinic_max_flow(
-            combined, warm_start=self._warm if self.warm_start else None)
         self.graph = combined
-        self.residual = residual
-        self.bits = value
-        self._warm = WarmStart(combined, residual)
-        return value
+        self._solution = None
+
+    def _solve(self):
+        if self._solution is None and self.graph is not None:
+            self._solution = dinic_max_flow(self.graph)
+        return self._solution or (None, None)
+
+    @property
+    def bits(self):
+        """The Kraft-sound bound over every run added so far (``None``
+        before the first add); solves the combined graph if it has
+        changed since the last read."""
+        return self._solve()[0]
+
+    @property
+    def residual(self):
+        """The saturated :class:`~repro.graph.maxflow.ResidualNetwork`
+        of the current combined graph (``None`` before the first add)."""
+        return self._solve()[1]
 
     @property
     def stats(self):
@@ -150,8 +157,9 @@ class StreamingCombiner:
             raise ValueError("no graphs added yet")
         metrics = obs.get_metrics()
         tracer = obs.get_tracer()
+        bits, residual = self._solve()
         with metrics.phase("mincut"):
-            cut = min_cut_from_residual(self.graph, self.residual)
+            cut = min_cut_from_residual(self.graph, residual)
         merged_stats = {}
         for stats in stats_list or []:
             for key, val in stats.items():
@@ -159,9 +167,9 @@ class StreamingCombiner:
         collapse_stats = self.stats
         collapse_stats.failures = list(failures)
         if metrics.enabled:
-            _publish(metrics, self.graph, self.bits, cut)
+            _publish(metrics, self.graph, bits, cut)
         return FlowReport(
-            bits=self.bits,
+            bits=bits,
             mincut=cut,
             graph=self.graph,
             secret_input_bits=merged_stats.get("secret_input_bits"),

@@ -124,6 +124,14 @@ def measure_graph(graph, collapse="context", stats=None, warnings=None):
     )
 
 
+def check_multi_run_collapse(collapse):
+    """Raise ``ValueError`` unless ``collapse`` is one of
+    :data:`MULTI_RUN_COLLAPSE_MODES`: runs merge by label."""
+    if collapse not in MULTI_RUN_COLLAPSE_MODES:
+        raise ValueError("multi-run collapse must be one of %r, got %r"
+                         % (MULTI_RUN_COLLAPSE_MODES, collapse))
+
+
 def measure_runs(graphs, collapse="context", stats_list=None, warnings=None):
     """Measure several runs *together* (Section 3.2).
 
@@ -143,9 +151,7 @@ def measure_runs(graphs, collapse="context", stats_list=None, warnings=None):
         collapse: one of :data:`MULTI_RUN_COLLAPSE_MODES`; ``"none"``
             raises ``ValueError``, since runs merge by label.
     """
-    if collapse not in MULTI_RUN_COLLAPSE_MODES:
-        raise ValueError("multi-run collapse must be one of %r, got %r"
-                         % (MULTI_RUN_COLLAPSE_MODES, collapse))
+    check_multi_run_collapse(collapse)
     graphs = list(graphs)
     metrics = obs.get_metrics()
     tracer = obs.get_tracer()

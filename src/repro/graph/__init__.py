@@ -8,7 +8,7 @@ label-driven collapsing/combining of Sections 3.2 and 5.2.
 """
 
 from .flowgraph import INF, Edge, EdgeLabel, FlowGraph
-from .maxflow import ResidualNetwork, WarmStart, dinic_max_flow
+from .maxflow import ResidualNetwork, dinic_max_flow
 from .mincut import CutEdge, MinCut, min_cut, min_cut_from_residual
 from .collapse import (CollapseStats, OnlineCollapser, collapse_graph,
                        collapse_graph_online, collapse_graphs, dedup_safe)
@@ -22,7 +22,7 @@ from .serialize import (dump_graph, dump_graph_binary, dumps_graph,
 
 __all__ = [
     "INF", "Edge", "EdgeLabel", "FlowGraph",
-    "ResidualNetwork", "WarmStart", "dinic_max_flow",
+    "ResidualNetwork", "dinic_max_flow",
     "CutEdge", "MinCut", "min_cut", "min_cut_from_residual",
     "CollapseStats", "OnlineCollapser", "collapse_graph",
     "collapse_graph_online", "collapse_graphs", "dedup_safe",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .. import obs
 from ..errors import GraphError
-from .flowgraph import INF, FlowGraph
+from .flowgraph import INF, Edge, FlowGraph
 from .unionfind import UnionFind
 
 
@@ -164,21 +164,71 @@ def collapse_graphs(graphs, context_sensitive=True, multiplicities=None):
 
 
 def _collapse_graphs(graphs, counts, context_sensitive, span):
-    uf = UnionFind()
-    # Keys: ("n", graph_index, node_id) for concrete nodes and
-    # ("s", label_key) / ("d", label_key) for per-label placeholders.
-    for gi, g in enumerate(graphs):
-        uf.union(("n", 0, g.source), ("n", gi, g.source))
-        uf.union(("n", 0, g.sink), ("n", gi, g.sink))
+    # One union-find over ints held in a list: elements 0 and 1 are the
+    # shared source and sink, node v of graph gi is bases[gi] + v, and
+    # each label key owns two placeholder elements (the meeting points of
+    # its edges' tails and heads), appended when the key is first seen.
+    parent = [0, 1]
+    bases = []
+    for g in graphs:
+        bases.append(len(parent))
+        parent.extend(range(len(parent), len(parent) + g.num_nodes))
+    first_placeholder = len(parent)
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    # Each label key is interned once per edge, to an int id: the
+    # rebuild pass reuses the ids instead of hashing the key again.
+    key_ids = {}
+    edge_keys = []
+    for base, g in zip(bases, graphs):
+        # The graph's own elements are still singletons here.
+        parent[base + g.source] = 0
+        parent[find(base + g.sink)] = 1
+        ids = []
         for e in g.edges:
             key = _edge_key(e.label, context_sensitive)
             if key is None:
+                ids.append(-1)
                 continue
-            uf.union(("n", gi, e.tail), ("s", key))
-            uf.union(("n", gi, e.head), ("d", key))
+            kid = key_ids.get(key)
+            if kid is None:
+                kid = key_ids[key] = len(key_ids)
+                parent.append(len(parent))
+                parent.append(len(parent))
+            ids.append(kid)
+            placeholder = first_placeholder + 2 * kid
+            # Union by find, its common one-step case inline.
+            a = base + e.tail
+            if parent[a] != a:
+                a = find(a)
+            b = parent[placeholder]
+            if parent[b] != b:
+                b = find(placeholder)
+            if a != b:
+                parent[a] = b
+            a = base + e.head
+            if parent[a] != a:
+                a = find(a)
+            b = parent[placeholder + 1]
+            if parent[b] != b:
+                b = find(placeholder + 1)
+            if a != b:
+                parent[a] = b
+        edge_keys.append(ids)
 
-    source_root = uf.find(("n", 0, graphs[0].source))
-    sink_root = uf.find(("n", 0, graphs[0].sink))
+    # Point every element at its root, so the rebuild reads roots
+    # straight from the list.
+    for x in range(len(parent)):
+        parent[x] = find(x)
+    source_root = parent[0]
+    sink_root = parent[1]
     if source_root == sink_root:
         # Labels are meant to identify "the same program location"; a
         # label shared between a source-adjacent and sink-adjacent edge
@@ -187,53 +237,49 @@ def _collapse_graphs(graphs, counts, context_sensitive, span):
             "collapsing merged the source with the sink: edge labels are "
             "inconsistent with the edges' structural roles")
     combined = FlowGraph()
-    node_of_root = {source_root: combined.source, sink_root: combined.sink}
-
-    def node_for(gi, node):
-        root = uf.find(("n", gi, node))
-        mapped = node_of_root.get(root)
-        if mapped is None:
-            mapped = combined.add_node()
-            node_of_root[root] = mapped
-        return mapped
+    # Combined node of each union-find root, numbered by first visit.
+    node_of_root = [-1] * len(parent)
+    node_of_root[source_root] = combined.source
+    node_of_root[sink_root] = combined.sink
 
     # Accumulate capacities: labelled edges merge by key; unlabelled edges
-    # merge by (endpoints, None), which is always sound for max-flow.
-    merged = {}
-    label_of = {}
+    # merge by (endpoints, kind), which is always sound for max-flow.
+    # Each bucket keeps [tail, head, label, capacity] from its first edge
+    # (the label's context dropped when merging context-insensitively).
+    buckets = {}
     merge_hits = 0
     original_nodes = sum(m * g.num_nodes for g, m in zip(graphs, counts))
     original_edges = sum(m * g.num_edges for g, m in zip(graphs, counts))
-    for gi, g in enumerate(graphs):
-        m = counts[gi]
-        for e in g.edges:
-            tail = node_for(gi, e.tail)
-            head = node_for(gi, e.head)
+    for base, g, m, ids in zip(bases, graphs, counts, edge_keys):
+        for e, kid in zip(g.edges, ids):
+            root = parent[base + e.tail]
+            tail = node_of_root[root]
+            if tail < 0:
+                tail = node_of_root[root] = combined.add_node()
+            root = parent[base + e.head]
+            head = node_of_root[root]
+            if head < 0:
+                head = node_of_root[root] = combined.add_node()
             if tail == head:
                 continue  # self-loops carry no s-t flow
-            key = _edge_key(e.label, context_sensitive)
-            if key is None:
-                bucket = (tail, head, e.label.kind if e.label else None, None)
+            if kid < 0:
+                bucket = (tail, head, e.label.kind if e.label else None)
             else:
-                bucket = key
-            prev = merged.get(bucket)
-            if prev is None:
-                prev = 0
-                merge_hits += m - 1
-            else:
-                merge_hits += m
-            merged[bucket] = _add_repeated(prev, e.capacity, m)
-            if bucket not in label_of:
-                # Preserve a representative label (context dropped when
-                # merging context-insensitively) and the endpoints.
+                bucket = kid
+            entry = buckets.get(bucket)
+            if entry is None:
                 label = e.label
                 if label is not None and not context_sensitive:
                     label = label.drop_context()
-                label_of[bucket] = (tail, head, label)
+                buckets[bucket] = [tail, head, label,
+                                   _add_repeated(0, e.capacity, m)]
+                merge_hits += m - 1
+            else:
+                entry[3] = _add_repeated(entry[3], e.capacity, m)
+                merge_hits += m
 
-    for bucket, capacity in merged.items():
-        tail, head, label = label_of[bucket]
-        combined.add_edge(tail, head, capacity, label)
+    combined.edges = [Edge(tail, head, capacity, label)
+                      for tail, head, label, capacity in buckets.values()]
 
     stats = CollapseStats(original_nodes, original_edges,
                           combined.num_nodes, combined.num_edges)

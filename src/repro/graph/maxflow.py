@@ -85,81 +85,7 @@ class ResidualNetwork:
         return seen
 
 
-class WarmStart:
-    """A prior solve to seed the next one: the solved graph + residual.
-
-    Produced from any ``dinic_max_flow`` result and handed back via
-    ``dinic_max_flow(new_graph, warm_start=...)`` when ``new_graph``
-    *grew out of* ``graph`` -- i.e. was built by combining ``graph``
-    with further runs, so each labelled edge either kept its label key
-    with a no-smaller capacity or vanished into a self-loop.  That is
-    exactly what :func:`repro.graph.collapse.collapse_graphs` produces
-    when re-combining an already-combined graph with new runs (the
-    streaming-combine pattern of :class:`repro.core.combine.StreamingCombiner`).
-    """
-
-    __slots__ = ("graph", "residual")
-
-    def __init__(self, graph, residual):
-        self.graph = graph
-        self.residual = residual
-
-
-def _apply_warm_start(graph, net, warm_start):
-    """Carry the prior flow over onto the fresh residual ``net``.
-
-    Old edges map to new edges by context-sensitive label key (unique
-    per edge in a combined graph, where the bucket *is* the key).  An
-    old flow-carrying edge whose key vanished was dropped as a
-    self-loop -- its endpoints merged -- so its in/out contributions
-    cancel at the merged class and skipping it preserves conservation.
-    Every mapping is verified (per-edge feasibility, then node-by-node
-    conservation of the carried assignment), so a warm start against an
-    unrelated graph degrades to ``None`` -- "fall back to a cold
-    solve" -- never to a wrong flow.
-
-    Returns the carried flow value, or ``None`` if the prior flow
-    cannot be reused.
-    """
-    index = {}
-    for j, e in enumerate(graph.edges):
-        key = e.label.key(True) if e.label is not None else None
-        if key is None:
-            continue
-        index[key] = None if key in index else j  # None: ambiguous
-    cap = net.cap
-    excess = [0] * net.num_nodes
-    old_graph = warm_start.graph
-    old_net = warm_start.residual
-    for i, e in enumerate(old_graph.edges):
-        flow = old_net.flow_on(i)
-        if flow <= 0:
-            continue
-        key = e.label.key(True) if e.label is not None else None
-        if key is None:
-            return None  # flow on an unmappable (unlabelled) edge
-        j = index.get(key, -1)
-        if j is None:
-            return None  # duplicate key in the new graph: ambiguous
-        if j < 0:
-            continue  # edge collapsed into a self-loop: skip (cancels)
-        if flow > cap[2 * j]:
-            return None  # new capacity shrank: carried flow infeasible
-        cap[2 * j] -= flow
-        cap[2 * j + 1] += flow
-        new_edge = graph.edges[j]
-        excess[new_edge.head] += flow
-        excess[new_edge.tail] -= flow
-    carried = excess[net.sink]
-    if carried < 0 or excess[net.source] != -carried:
-        return None
-    for v, surplus in enumerate(excess):
-        if surplus and v != net.source and v != net.sink:
-            return None  # conservation violated: not a valid s-t flow
-    return carried
-
-
-def dinic_max_flow(graph, warm_start=None):
+def dinic_max_flow(graph):
     """Compute the maximum s-t flow of ``graph`` with Dinic's algorithm.
 
     Returns ``(value, residual)`` where ``residual`` is the saturated
@@ -168,43 +94,19 @@ def dinic_max_flow(graph, warm_start=None):
     source over unbounded-capacity edges only... which cannot happen for
     trace graphs, whose source edges are always finite.
 
-    ``warm_start`` optionally carries a prior solve (:class:`WarmStart`)
-    of a graph this one grew out of: the prior flow is replayed onto the
-    fresh residual (after feasibility and conservation checks) and only
-    the *increment* is augmented.  The max-flow value is identical to a
-    cold solve -- it is unique -- and so is the residual-reachable
-    source side, hence the canonical minimum cut, even when several
-    cuts share the optimal capacity.  A warm
-    start that cannot be reused falls back to a cold solve and counts
-    ``maxflow.warm_start.fallbacks``.
-
     With observability enabled, accounts wall time to ``phase.solve``,
-    reports ``maxflow.dinic.bfs_phases`` / ``.augmenting_paths`` (and
-    the ``maxflow.warm_start.*`` counters), and fills the
-    ``maxflow.dinic.path_length`` histogram; with tracing enabled, the
-    solve runs under a ``solve.dinic`` span.
+    reports ``maxflow.dinic.bfs_phases`` / ``.augmenting_paths``, and
+    fills the ``maxflow.dinic.path_length`` histogram; with tracing
+    enabled, the solve runs under a ``solve.dinic`` span.
     """
     metrics = obs.get_metrics()
     net = ResidualNetwork(graph)
     s, t = net.source, net.sink
     if s == t:
         raise GraphError("source and sink coincide")
-    carried = 0
-    if warm_start is not None:
-        carried = _apply_warm_start(graph, net, warm_start)
-        if carried is None:
-            carried = 0
-            net = ResidualNetwork(graph)  # discard partial application
-            if metrics.enabled:
-                metrics.incr("maxflow.warm_start.fallbacks")
-            obs.get_event_log().event("backend.fallback",
-                                      kind="maxflow.warm_start")
-        elif metrics.enabled:
-            metrics.incr("maxflow.warm_start.hits")
-            metrics.incr("maxflow.warm_start.reused_bits", carried)
     n = net.num_nodes
     head, cap, first, nxt = net.head, net.cap, net.first, net.nxt
-    total = carried
+    total = 0
     level = [0] * n
     it = [0] * n
 

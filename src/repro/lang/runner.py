@@ -16,7 +16,8 @@ import hashlib
 from .. import obs
 from ..core.checking import CheckTracker
 from ..core.lockstep import run_lockstep
-from ..core.measure import measure_graph, measure_runs
+from ..core.measure import (check_multi_run_collapse, measure_graph,
+                             measure_runs)
 from ..core.tracker import CollapsingTraceBuilder, TraceBuilder
 from .checker import Checker
 from .compiler import compile_program
@@ -191,8 +192,11 @@ def measure_many(source_or_compiled, secret_inputs, public_input=b"",
     """Measure several runs *together* for multi-run soundness (§3.2).
 
     Returns ``(combined_report, per_run_results)`` where the per-run
-    results carry each run's independent report for comparison.
+    results carry each run's independent report for comparison.  A
+    ``collapse`` outside ``MULTI_RUN_COLLAPSE_MODES`` raises
+    ``ValueError`` before any run is traced.
     """
+    check_multi_run_collapse(collapse)
     compiled = _ensure_compiled(source_or_compiled, filename)
     graphs = []
     stats_list = []

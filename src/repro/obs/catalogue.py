@@ -134,15 +134,6 @@ def _specs():
         (HISTOGRAM, "maxflow.dinic.path_length", "edges", "experimental",
          "distribution of Dinic augmenting-path lengths (arcs per path), "
          "power-of-two buckets"),
-        # Warm-start incremental max-flow (dinic_max_flow(warm_start=...)).
-        (c, "maxflow.warm_start.hits", "calls", "experimental",
-         "solves that successfully reused a prior residual network"),
-        (c, "maxflow.warm_start.fallbacks", "calls", "experimental",
-         "warm-start attempts abandoned for a cold solve (infeasible "
-         "carry-over)"),
-        (c, "maxflow.warm_start.reused_bits", "bits", "experimental",
-         "flow bits carried over from reused residuals instead of being "
-         "re-augmented"),
         # Measurement results (repro.core.measure).
         (g, "graph.nodes", "nodes", "stable",
          "node count of the most recently solved graph"),

@@ -450,11 +450,18 @@ class TelemetryExporter:
         atomic_write(os.path.join(self.directory, "format"), FORMAT + "\n")
 
     def start(self):
-        """Start the background flusher (idempotent)."""
+        """Flush once, then start the background flusher (idempotent).
+
+        The first flush runs before :meth:`start` returns, so from then
+        on the directory holds a whole generation that ``repro obs
+        check`` accepts, even if the process is killed before the
+        thread's first interval ends.
+        """
         if self._thread is not None:
             return self
         from repro import obs
         obs.get_metrics().enable_thread_safety()
+        self.flush()
         self._stop.clear()
         self._thread = threading.Thread(target=self._run,
                                         name="repro-telemetry", daemon=True)

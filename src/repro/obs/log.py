@@ -2,7 +2,7 @@
 
 The metrics registry answers *how much* and the tracer answers *when*;
 this module answers *what happened*: discrete, irregular occurrences —
-a retry, a quarantine, a dedup hit, a backend fallback — that are
+a retry, a quarantine, a dedup hit, a flush error — that are
 invisible as counter totals (the count survives, the circumstances do
 not) and too rare to deserve their own spans.  Each record is a plain
 JSON-able dict carrying a wall-clock timestamp, the recording process
@@ -72,9 +72,6 @@ def _event_specs():
         ("combine.kraft_update", "experimental",
          "the incremental Kraft accountant recorded an anytime-bound "
          "trail point"),
-        ("backend.fallback", "experimental",
-         "a warm-start solve could not reuse its prior residual and "
-         "fell back to a cold solve"),
         ("export.flush_error", "experimental",
          "one telemetry flush failed; the exporter keeps running"),
         ("queue.submit", "experimental",

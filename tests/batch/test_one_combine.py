@@ -1,12 +1,13 @@
-"""The one multi-run combine: warm ≡ cold cuts, and its entry points.
+"""The one multi-run combine: streamed ≡ one-shot cuts, and its entry
+points.
 
 Every §3.2 combine goes through ``repro.batch.runs._combine``: a tree
-reduction across the pool and one warm-started streaming root fold.
-That is only a refactor if the warm fold reproduces the one-shot cold
-solve exactly — bound, graph, *and* cut.  The cut identity holds
-because ``min_cut_from_residual`` takes the source side as the nodes
-reachable in the residual network, a set that is the same for every
-maximum flow; these randomized suites pin it.
+reduction across the pool and one streaming root fold that solves once.
+That is only a refactor if the fold reproduces the one-shot combine
+exactly — bound, graph, *and* cut.  The cut identity holds because
+``min_cut_from_residual`` takes the source side as the nodes reachable
+in the residual network, a set that is the same for every maximum flow;
+these randomized suites pin it.
 """
 
 import random
@@ -20,6 +21,7 @@ from repro.core.combine import StreamingCombiner
 from repro.core.measure import measure_runs
 from repro.core.tracker import TraceBuilder
 from repro.lang import compile_cached, execute, measure_many
+from repro.lang import runner as runner_module
 
 from .test_corpus_combine import (corpus, cut_fingerprint, fill_store,
                                   graph_text, shard, unsafe_shard)
@@ -36,18 +38,19 @@ def traced_runs(rng, count):
     return graphs
 
 
-def warm_report(graphs, context_sensitive=True):
+def streamed_report(graphs, context_sensitive=True):
     combiner = StreamingCombiner(context_sensitive=context_sensitive)
     for graph in graphs:
         combiner.add(graph)
     return combiner.report()
 
 
-def assert_same_cut(warm, cold):
-    assert warm.bits == cold.bits
-    assert graph_text(warm.graph) == graph_text(cold.graph)
-    assert warm.mincut.source_side == cold.mincut.source_side
-    assert cut_fingerprint(warm.mincut) == cut_fingerprint(cold.mincut)
+def assert_same_cut(streamed, one_shot):
+    assert streamed.bits == one_shot.bits
+    assert graph_text(streamed.graph) == graph_text(one_shot.graph)
+    assert streamed.mincut.source_side == one_shot.mincut.source_side
+    assert cut_fingerprint(streamed.mincut) == \
+        cut_fingerprint(one_shot.mincut)
 
 
 class TestWarmColdSameCut:
@@ -57,15 +60,16 @@ class TestWarmColdSameCut:
             maker = rng.choice((shard, unsafe_shard))
             runs, _ = corpus(rng, distinct_count=rng.randrange(1, 6),
                              run_count=rng.randrange(1, 12), maker=maker)
-            assert_same_cut(warm_report(runs), measure_runs(runs))
+            assert_same_cut(streamed_report(runs), measure_runs(runs))
 
     @pytest.mark.parametrize("collapse", ["context", "location"])
     def test_traced_countpunct_runs(self, collapse):
         rng = random.Random(509)
         for _ in range(8):
             runs = traced_runs(rng, rng.randrange(1, 6))
-            warm = warm_report(runs, context_sensitive=collapse == "context")
-            assert_same_cut(warm, measure_runs(runs, collapse=collapse))
+            streamed = streamed_report(
+                runs, context_sensitive=collapse == "context")
+            assert_same_cut(streamed, measure_runs(runs, collapse=collapse))
 
     def test_parallel_measure_runs_same_cut(self, tmp_path):
         rng = random.Random(521)
@@ -94,6 +98,14 @@ class TestCollapseValidation:
         runs = traced_runs(random.Random(13), 3)
         with pytest.raises(ValueError, match="'none'"):
             measure_runs(runs, collapse="none")
+        with pytest.raises(ValueError, match="'none'"):
+            measure_many(COUNTPUNCT, [b"a.", b"b?", b"c!"], collapse="none")
+
+    def test_measure_many_rejects_before_tracing(self, monkeypatch):
+        def no_execute(*_args, **_kwargs):
+            raise AssertionError("measure_many traced a run")
+
+        monkeypatch.setattr(runner_module, "execute", no_execute)
         with pytest.raises(ValueError, match="'none'"):
             measure_many(COUNTPUNCT, [b"a.", b"b?", b"c!"], collapse="none")
 

@@ -1,12 +1,22 @@
 """Tests for label-based collapsing / multi-run combining (Sections 3.2, 5.2)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph.collapse import collapse_graph, collapse_graphs
+from repro import obs
+from repro.core.locations import Location
+from repro.errors import GraphError
+from repro.graph import collapse as collapse_module
+from repro.graph.collapse import (CollapseStats, _add_repeated, _edge_key,
+                                  collapse_graph, collapse_graphs)
 from repro.graph.flowgraph import INF, EdgeLabel, FlowGraph
-from repro.graph.generators import random_dag
+from repro.graph.generators import (grid_graph, layered_dag, random_dag,
+                                    series_parallel)
 from repro.graph.maxflow import dinic_max_flow
+from repro.graph.serialize import dumps_graph
+from repro.graph.unionfind import UnionFind
 
 
 def loop_graph(iterations, location="loop.c:7"):
@@ -186,3 +196,188 @@ class TestCollapseSoundnessProperty:
         original = dinic_max_flow(g)[0]
         collapsed, _ = collapse_graph(g)
         assert dinic_max_flow(collapsed)[0] >= original
+
+
+def dict_keyed_collapse(graphs, counts, context_sensitive, span):
+    """The dict-keyed union-find collapse the int-indexed one replaced,
+    kept verbatim as the oracle: keys ``("n", graph, node)`` for nodes
+    and ``("s", label_key)`` / ``("d", label_key)`` for placeholders."""
+    uf = UnionFind()
+    for gi, g in enumerate(graphs):
+        uf.union(("n", 0, g.source), ("n", gi, g.source))
+        uf.union(("n", 0, g.sink), ("n", gi, g.sink))
+        for e in g.edges:
+            key = _edge_key(e.label, context_sensitive)
+            if key is None:
+                continue
+            uf.union(("n", gi, e.tail), ("s", key))
+            uf.union(("n", gi, e.head), ("d", key))
+
+    source_root = uf.find(("n", 0, graphs[0].source))
+    sink_root = uf.find(("n", 0, graphs[0].sink))
+    if source_root == sink_root:
+        raise GraphError(
+            "collapsing merged the source with the sink: edge labels are "
+            "inconsistent with the edges' structural roles")
+    combined = FlowGraph()
+    node_of_root = {source_root: combined.source, sink_root: combined.sink}
+
+    def node_for(gi, node):
+        root = uf.find(("n", gi, node))
+        mapped = node_of_root.get(root)
+        if mapped is None:
+            mapped = combined.add_node()
+            node_of_root[root] = mapped
+        return mapped
+
+    merged = {}
+    label_of = {}
+    merge_hits = 0
+    original_nodes = sum(m * g.num_nodes for g, m in zip(graphs, counts))
+    original_edges = sum(m * g.num_edges for g, m in zip(graphs, counts))
+    for gi, g in enumerate(graphs):
+        m = counts[gi]
+        for e in g.edges:
+            tail = node_for(gi, e.tail)
+            head = node_for(gi, e.head)
+            if tail == head:
+                continue
+            key = _edge_key(e.label, context_sensitive)
+            if key is None:
+                bucket = (tail, head, e.label.kind if e.label else None, None)
+            else:
+                bucket = key
+            prev = merged.get(bucket)
+            if prev is None:
+                prev = 0
+                merge_hits += m - 1
+            else:
+                merge_hits += m
+            merged[bucket] = _add_repeated(prev, e.capacity, m)
+            if bucket not in label_of:
+                label = e.label
+                if label is not None and not context_sensitive:
+                    label = label.drop_context()
+                label_of[bucket] = (tail, head, label)
+
+    for bucket, capacity in merged.items():
+        tail, head, label = label_of[bucket]
+        combined.add_edge(tail, head, capacity, label)
+
+    stats = CollapseStats(original_nodes, original_edges,
+                          combined.num_nodes, combined.num_edges)
+    span.set(nodes_before=stats.original_nodes,
+             nodes_after=stats.collapsed_nodes,
+             edges_before=stats.original_edges,
+             edges_after=stats.collapsed_edges)
+    metrics = obs.get_metrics()
+    if metrics.enabled:
+        metrics.incr("collapse.runs")
+        metrics.incr("collapse.label_merge_hits", merge_hits)
+        metrics.gauge("collapse.nodes_before", stats.original_nodes)
+        metrics.gauge("collapse.nodes_after", stats.collapsed_nodes)
+        metrics.gauge("collapse.edges_before", stats.original_edges)
+        metrics.gauge("collapse.edges_after", stats.collapsed_edges)
+    return combined, stats
+
+
+def labelled_copy(graph, rng):
+    """``graph`` with a random mix of labels and capacities.
+
+    Edges get no label, a location-less label, or a label at one of a
+    few locations per structural role (source edge, sink edge, inner
+    edge), with or without a context.  In one graph of three, about a
+    third of the labels take a random role's location instead, which
+    may merge the source with the sink.  About one capacity in ten
+    becomes ``INF``.
+    """
+    out = FlowGraph()
+    out.add_nodes(graph.num_nodes - 2)
+    mixing = rng.choice((0.0, 0.0, 0.3))
+    for e in graph.edges:
+        pick = rng.random()
+        if pick < 0.15:
+            label = None
+        elif pick < 0.25:
+            label = EdgeLabel(None, kind=rng.choice(("data", "chain")))
+        else:
+            role = ("in" if e.tail == graph.source
+                    else "out" if e.head == graph.sink else "mid")
+            if rng.random() < mixing:
+                role = rng.choice(("in", "out", "mid"))
+            label = EdgeLabel(Location(role, rng.randrange(3)),
+                              rng.choice((None, 7, 9)),
+                              rng.choice(("data", "implicit")))
+        capacity = INF if rng.random() < 0.1 else e.capacity
+        out.add_edge(e.tail, e.head, capacity, label)
+    return out
+
+
+def random_graph(rng):
+    kind = rng.randrange(4)
+    seed = rng.randrange(10 ** 6)
+    if kind == 0:
+        graph = random_dag(rng.randrange(1, 9), rng.randrange(0, 20),
+                           seed=seed)
+    elif kind == 1:
+        graph = layered_dag(rng.randrange(1, 4), rng.randrange(1, 4),
+                            seed=seed)
+    elif kind == 2:
+        graph = grid_graph(rng.randrange(1, 4), rng.randrange(2, 4),
+                           seed=seed)
+    else:
+        graph, _ = series_parallel(rng.randrange(1, 5), seed=seed)
+    return labelled_copy(graph, rng)
+
+
+def collapse_outcome(graphs, counts, context_sensitive):
+    """``(dumps_graph text, label merge hits)``, or the GraphError."""
+    obs.enable()
+    try:
+        combined, _ = collapse_graphs(graphs,
+                                      context_sensitive=context_sensitive,
+                                      multiplicities=counts)
+        hits = obs.get_metrics().snapshot()["collapse.label_merge_hits"]
+    except GraphError as error:
+        return ("GraphError", str(error))
+    finally:
+        obs.disable()
+    return dumps_graph(combined), hits
+
+
+class TestIntIndexedCollapseMatchesOracle:
+    """The int-indexed union-find collapse against the dict-keyed one it
+    replaced: same text, same merge hits, same errors."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6))
+    def test_random_graphs(self, seed):
+        rng = random.Random(seed)
+        pool = [random_graph(rng) for _ in range(rng.randrange(1, 4))]
+        graphs = [rng.choice(pool) for _ in range(rng.randrange(1, 5))]
+        counts = [rng.choice((1, 1, 2, 3)) for _ in graphs]
+        for context_sensitive in (True, False):
+            got = collapse_outcome(graphs, counts, context_sensitive)
+            saved = collapse_module._collapse_graphs
+            collapse_module._collapse_graphs = dict_keyed_collapse
+            try:
+                want = collapse_outcome(graphs, counts, context_sensitive)
+            finally:
+                collapse_module._collapse_graphs = saved
+            assert got == want
+
+    def test_covers_unsafe_multiplicities_and_errors(self):
+        # The property's generator reaches every case it is meant to:
+        # a repeated graph that is not dedup-safe, and a label set that
+        # merges the source with the sink.
+        unsafe = errors = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            graph = random_graph(rng)
+            if not collapse_module.dedup_safe(graph):
+                unsafe += 1
+            try:
+                collapse_graphs([graph, graph])
+            except GraphError:
+                errors += 1
+        assert unsafe and errors

@@ -6,17 +6,14 @@ shares no code with the solver -- not even :class:`ResidualNetwork` --
 and checks the cut Section 6 consumes as well as the flow value.
 """
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import obs
 from repro.errors import GraphError
-from repro.graph.flowgraph import INF, EdgeLabel, FlowGraph
+from repro.graph.flowgraph import INF, FlowGraph
 from repro.graph.generators import (grid_graph, layered_dag, random_dag,
                                     series_parallel)
-from repro.graph.maxflow import WarmStart, dinic_max_flow
+from repro.graph.maxflow import dinic_max_flow
 
 
 
@@ -151,28 +148,10 @@ class TestResidualAccounting:
             dinic_max_flow(bad)
 
 
-def assert_matches_oracle(g, warm_start=None):
+def assert_matches_oracle(g):
     """Dinic's value and canonical source side equal the oracle's."""
-    value, net = dinic_max_flow(g, warm_start=warm_start)
+    value, net = dinic_max_flow(g)
     assert (value, net.source_side()) == brute_min_cut(g)
-
-
-def grown_pair(g, seed):
-    """Two uniquely labelled copies of ``g``: as is, and grown out of it
-    -- every capacity raised, about 10% of interior edges made ``INF``."""
-    rng = random.Random(seed)
-    small, big = FlowGraph(), FlowGraph()
-    small.add_nodes(g.num_nodes - 2)
-    big.add_nodes(g.num_nodes - 2)
-    ends = (g.source, g.sink)
-    for i, e in enumerate(g.edges):
-        label = EdgeLabel(i)
-        small.add_edge(e.tail, e.head, e.capacity, label)
-        interior = e.tail not in ends and e.head not in ends
-        cap = INF if interior and rng.random() < 0.1 \
-            else e.capacity + rng.randint(0, 16)
-        big.add_edge(e.tail, e.head, cap, label)
-    return small, big
 
 
 class TestCrossValidation:
@@ -196,17 +175,3 @@ class TestCrossValidation:
            edges=st.integers(0, 30))
     def test_fuzz_agreement(self, seed, nodes, edges):
         assert_matches_oracle(random_dag(nodes, edges, seed=seed))
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 10**6), nodes=st.integers(1, 10),
-           edges=st.integers(0, 30))
-    def test_warm_start_agrees(self, seed, nodes, edges):
-        small, big = grown_pair(random_dag(nodes, edges, seed=seed), seed)
-        _, net = dinic_max_flow(small)
-        obs.enable()
-        try:
-            assert_matches_oracle(big, WarmStart(small, net))
-            hits = obs.get_metrics().snapshot()["maxflow.warm_start.hits"]
-        finally:
-            obs.disable()
-        assert hits == 1

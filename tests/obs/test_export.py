@@ -276,6 +276,20 @@ class TestExporterDirectory:
         assert published == [10, 14]
         assert check_dir(directory) == []
 
+    def test_generation_checks_clean_right_after_start(self, tmp_path):
+        # A process killed before the thread's first interval still
+        # leaves a whole generation: start() flushes once itself.
+        directory = str(tmp_path / "telemetry")
+        obs.enable()
+        exporter = TelemetryExporter(directory, interval=3600.0)
+        try:
+            exporter.start()
+            assert check_dir(directory) == []
+            assert exporter.flushes == 1
+        finally:
+            exporter.stop(flush=False)
+            obs.disable()
+
     def test_interval_validated(self, tmp_path):
         with pytest.raises(ValueError):
             TelemetryExporter(str(tmp_path / "t"), interval=0)

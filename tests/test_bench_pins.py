@@ -41,7 +41,7 @@ from repro.lang import compile_cached  # noqa: E402
 from repro.lang import execute as lang_execute  # noqa: E402
 from repro.pytrace import Session  # noqa: E402
 from repro.store import ShardStore  # noqa: E402
-from tests.graph.test_warm_start import BRANCHY  # noqa: E402
+from tests.graph.test_streaming_combine import BRANCHY  # noqa: E402
 
 
 def branchy_runs(count, seed):
@@ -102,9 +102,10 @@ def backends(_tmp):
 
 
 def streaming_combine(_tmp):
-    combiner = StreamingCombiner(context_sensitive=True, warm_start=True)
+    combiner = StreamingCombiner(context_sensitive=True)
     for graph in branchy_runs(100, seed=42):
         combiner.add(graph)
+    combiner.report()
 
 
 def corpus_combine(tmp):
