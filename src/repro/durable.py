@@ -27,10 +27,10 @@ def read_lines(path):
 
 class LineLog:
     """The append side of one line log at ``path``: :meth:`append`
-    writes whole lines in one ``write`` and flushes, and with
-    ``fsync`` also fsyncs before it returns.  The file is opened (and
-    created) by the first append, after a later :meth:`close` by the
-    next one."""
+    writes whole lines through an unbuffered handle, in one ``write``
+    unless the kernel takes fewer bytes, and with ``fsync`` also fsyncs
+    before it returns.  The file is opened (and created) by the first
+    append, after a later :meth:`close` by the next one."""
 
     def __init__(self, path, fsync):
         self.path = os.fspath(path)
@@ -53,14 +53,16 @@ class LineLog:
                 keep = start
             if keep < end:
                 probe.truncate(keep)
-        self._handle = open(self.path, "ab")
+        self._handle = open(self.path, "ab", buffering=0)
         return self._handle
 
     def append(self, text):
         """Append ``text``: whole lines, each ending in ``\\n``."""
         handle = self._handle or self._open()
-        handle.write(text.encode("utf-8"))
-        handle.flush()
+        data = text.encode("utf-8")
+        written = handle.write(data)
+        while written < len(data):  # a short write: send the rest
+            written += handle.write(data[written:])
         if self.fsync:
             os.fsync(handle.fileno())
 

@@ -15,10 +15,8 @@ from .collapse import (CollapseStats, OnlineCollapser, collapse_graph,
 from .seriesparallel import SPReduction, reduce_series_parallel
 from .unionfind import UnionFind
 from .dot import to_dot, write_dot
-from .serialize import (dump_graph, dump_graph_binary, dumps_graph,
-                        graph_digest, load_graph, load_graph_binary,
-                        read_graph, read_graph_binary, save_graph,
-                        save_graph_binary, text_digest)
+from .serialize import (dump_graph, dumps_graph, graph_digest, load_graph,
+                        read_graph, save_graph, text_digest)
 
 __all__ = [
     "INF", "Edge", "EdgeLabel", "FlowGraph",
@@ -29,7 +27,6 @@ __all__ = [
     "SPReduction", "reduce_series_parallel",
     "UnionFind",
     "to_dot", "write_dot",
-    "dump_graph", "dump_graph_binary", "dumps_graph", "graph_digest",
-    "load_graph", "load_graph_binary", "read_graph", "read_graph_binary",
-    "save_graph", "save_graph_binary", "text_digest",
+    "dump_graph", "dumps_graph", "graph_digest", "load_graph",
+    "read_graph", "save_graph", "text_digest",
 ]

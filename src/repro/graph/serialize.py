@@ -5,7 +5,9 @@ node tags" so that memory use stays bounded by the program's footprint
 (§4.2).  This module provides the equivalent artifact boundary for this
 reproduction: a compact, line-oriented text format for graphs (and
 their labels), so a trace captured in one process can be solved,
-collapsed, combined, or rendered in another.
+collapsed, combined, or rendered in another.  It is the only encoding:
+batch workers ship it home, the shard store keeps it as its pack blob,
+and every content digest is defined over it.
 
 Format (one record per line, tab-separated)::
 
@@ -14,22 +16,30 @@ Format (one record per line, tab-separated)::
     e\t<tail>\t<head>\t<capacity|inf>[\t<kind>\t<location>\t<context|->]
     c\t<category>\t<edge_index>...
 
-``c`` records are optional and carry the Section 10.1 multi-secret
-category tags: each maps a secret category to the indices of its source
-edges (``TraceBuilder.category_edges``), so a tagged graph shipped to
-another process can still be swept per-category there.
+A tab, newline or carriage return inside a location or a category name
+is written as a space, so every record stays one line of the right
+field count.  ``c`` records are optional and carry the Section 10.1
+multi-secret category tags: each maps a secret category to the indices
+of its source edges (``TraceBuilder.category_edges``), so a tagged
+graph shipped to another process can still be swept per-category
+there.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
-import struct
 
 from ..errors import GraphError
 from .flowgraph import INF, EdgeLabel, FlowGraph
 
 _HEADER = "flowgraph-v1"
+
+
+def _field(value):
+    """``value`` as one text field: no tab, newline or carriage return."""
+    return str(value).replace("\t", " ").replace("\n", " ") \
+        .replace("\r", " ")
 
 
 def dump_graph(graph, stream, category_edges=None):
@@ -54,11 +64,11 @@ def dump_graph(graph, stream, category_edges=None):
                 else str(e.label.context)
             stream.write("e\t%d\t%d\t%s\t%s\t%s\t%s\n" % (
                 e.tail, e.head, capacity, e.label.kind,
-                str(e.label.location).replace("\t", " "), context))
+                _field(e.label.location), context))
     for category in sorted(category_edges or (), key=str):
         indices = category_edges[category]
         stream.write("c\t%s\t%s\n" % (
-            str(category).replace("\t", " "),
+            _field(category),
             "\t".join(str(index) for index in indices)))
     return graph.num_edges
 
@@ -162,10 +172,8 @@ def graph_digest(graph, category_edges=None):
     """Canonical content digest of a graph: SHA-256 over its
     ``flowgraph-v1`` text dump, as a hex string.
 
-    The text format is the *canonical* encoding — the digest is defined
-    over it regardless of how the graph is stored on disk, so a graph
-    framed with :func:`dump_graph_binary` has the same digest as its
-    text twin.  Two graphs with equal digests are bit-identical under
+    The text format is the *canonical* encoding, and the digest is
+    defined over it.  Two graphs with equal digests are bit-identical under
     save/load (same node numbering, edge order, capacities, labels, and
     category tags), which is what lets
     :class:`~repro.store.ShardStore` dedup identical collapsed shards
@@ -177,201 +185,3 @@ def graph_digest(graph, category_edges=None):
 def text_digest(text):
     """:func:`graph_digest` of a graph already in canonical text form."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-# ----------------------------------------------------------------------
-# Compact binary framing
-#
-# The text format stays canonical (digests are defined over it); the
-# binary framing exists because a corpus-scale store writes and reads
-# millions of shard files, where fixed-width fields beat str/int
-# round-trips.  Layout: an 8-byte magic, then length-prefixed frames
-#
-#     <type:1 byte> <payload_length:u32 BE> <payload>
-#
-# with one frame per text record ("N" node count, "E" edge, "C"
-# category).  Loading a binary shard yields a graph bit-identical to
-# loading its text twin (string locations, tab-sanitized, capacities
-# saturated at INF), so the two encodings are interchangeable
-# downstream.
-
-_BINARY_MAGIC = b"fgb1\x00\xdaQ\n"
-_CAP_INF = (1 << 64) - 1  # on-wire sentinel; real INF is 1 << 62
-_U32 = struct.Struct(">I")
-_FRAME = struct.Struct(">cI")
-_EDGE_FIXED = struct.Struct(">IIQB")
-
-
-def _pack_str(text):
-    data = text.encode("utf-8")
-    if len(data) > 0xFFFF:
-        raise GraphError("string field of %d bytes is too long to frame"
-                         % len(data))
-    return struct.pack(">H", len(data)) + data
-
-
-def dump_graph_binary(graph, stream, category_edges=None):
-    """Write ``graph`` to a binary ``stream``; returns the edge count.
-
-    The mirror of :func:`dump_graph`: same record set, same
-    tab-sanitization of locations and category names, same ``inf``
-    saturation — ``load_graph_binary`` of the result is bit-identical
-    to ``load_graph`` of the text dump.
-    """
-    if category_edges is None:
-        category_edges = getattr(graph, "category_edges", None)
-    stream.write(_BINARY_MAGIC)
-    stream.write(_FRAME.pack(b"N", _U32.size) + _U32.pack(graph.num_nodes))
-    for e in graph.edges:
-        capacity = _CAP_INF if e.capacity >= INF else e.capacity
-        if e.label is None:
-            payload = _EDGE_FIXED.pack(e.tail, e.head, capacity, 0)
-        else:
-            context = b"" if e.label.context is None \
-                else _pack_str(str(e.label.context))
-            payload = (_EDGE_FIXED.pack(e.tail, e.head, capacity, 1)
-                       + _pack_str(e.label.kind)
-                       + _pack_str(str(e.label.location).replace("\t", " "))
-                       + struct.pack(">B", 0 if e.label.context is None else 1)
-                       + context)
-        stream.write(_FRAME.pack(b"E", len(payload)) + payload)
-    for category in sorted(category_edges or (), key=str):
-        indices = category_edges[category]
-        payload = (_pack_str(str(category).replace("\t", " "))
-                   + _U32.pack(len(indices))
-                   + b"".join(_U32.pack(index) for index in indices))
-        stream.write(_FRAME.pack(b"C", len(payload)) + payload)
-    return graph.num_edges
-
-
-class _FrameReader:
-    """Cursor over one frame's payload; every overrun is a GraphError."""
-
-    __slots__ = ("payload", "offset", "where")
-
-    def __init__(self, payload, where):
-        self.payload = payload
-        self.offset = 0
-        self.where = where
-
-    def take(self, count):
-        end = self.offset + count
-        if end > len(self.payload):
-            raise GraphError("truncated payload in %s" % self.where)
-        data = self.payload[self.offset:end]
-        self.offset = end
-        return data
-
-    def unpack(self, fmt):
-        return fmt.unpack(self.take(fmt.size))
-
-    def take_str(self):
-        (length,) = self.unpack(struct.Struct(">H"))
-        try:
-            return self.take(length).decode("utf-8")
-        except UnicodeDecodeError as error:
-            raise GraphError("bad utf-8 in %s: %s" % (self.where, error)) \
-                from None
-
-    def done(self):
-        if self.offset != len(self.payload):
-            raise GraphError("%d trailing bytes in %s"
-                             % (len(self.payload) - self.offset, self.where))
-
-
-def load_graph_binary(stream):
-    """Read a graph written by :func:`dump_graph_binary`.
-
-    Robustness contract mirrors :func:`load_graph`: *any* malformed
-    input — a bad magic, a truncated frame, an overlong payload, an
-    unknown frame type, out-of-range node or edge references — raises
-    a single :class:`~repro.errors.GraphError` naming the offending
-    frame, never a bare ``struct.error``/``ValueError``.
-    """
-    magic = stream.read(len(_BINARY_MAGIC))
-    if magic != _BINARY_MAGIC:
-        raise GraphError("not a flowgraph binary shard (bad magic %r)"
-                         % magic[:8])
-    graph = FlowGraph()
-    categories = {}
-    frame_index = 0
-    while True:
-        header = stream.read(_FRAME.size)
-        if not header:
-            break
-        frame_index += 1
-        where = "frame %d" % frame_index
-        if len(header) < _FRAME.size:
-            raise GraphError("truncated header at %s" % where)
-        kind, length = _FRAME.unpack(header)
-        payload = stream.read(length)
-        if len(payload) < length:
-            raise GraphError("truncated payload at %s (want %d bytes, "
-                             "got %d)" % (where, length, len(payload)))
-        reader = _FrameReader(payload, "%s (%r)" % (where, kind))
-        try:
-            if kind == b"N":
-                (declared,) = reader.unpack(_U32)
-                if declared < graph.num_nodes:
-                    raise GraphError("node count too small in %s" % where)
-                graph.add_nodes(declared - graph.num_nodes)
-            elif kind == b"E":
-                tail, head, capacity, labelled = reader.unpack(_EDGE_FIXED)
-                if capacity >= INF:
-                    capacity = INF
-                label = None
-                if labelled == 1:
-                    kind_str = reader.take_str()
-                    location = reader.take_str()
-                    (has_context,) = reader.unpack(struct.Struct(">B"))
-                    context = None
-                    if has_context == 1:
-                        context = int(reader.take_str())
-                    elif has_context != 0:
-                        raise GraphError("bad context flag %d in %s"
-                                         % (has_context, where))
-                    label = EdgeLabel(location, context, kind_str)
-                elif labelled != 0:
-                    raise GraphError("bad label flag %d in %s"
-                                     % (labelled, where))
-                reader.done()
-                graph.add_edge(tail, head, capacity, label)
-            elif kind == b"C":
-                name = reader.take_str()
-                if not name:
-                    raise GraphError("category frame without a name "
-                                     "(%s)" % where)
-                (count,) = reader.unpack(_U32)
-                categories[name] = [reader.unpack(_U32)[0]
-                                    for _ in range(count)]
-                reader.done()
-            else:
-                raise GraphError("bad frame type %r at %s" % (kind, where))
-        except GraphError:
-            raise
-        except (ValueError, struct.error) as error:
-            raise GraphError("malformed %r frame at %s: %s"
-                             % (kind, where, error)) from None
-    if categories:
-        for category, indices in categories.items():
-            for index in indices:
-                if not 0 <= index < graph.num_edges:
-                    raise GraphError(
-                        "category %r references edge %d, but the graph "
-                        "has %d edges" % (category, index,
-                                          graph.num_edges))
-        graph.category_edges = categories
-    return graph
-
-
-def save_graph_binary(path, graph, category_edges=None):
-    """:func:`dump_graph_binary` to a file path; returns the path."""
-    with open(path, "wb") as handle:
-        dump_graph_binary(graph, handle, category_edges=category_edges)
-    return path
-
-
-def read_graph_binary(path):
-    """:func:`load_graph_binary` from a file path."""
-    with open(path, "rb") as handle:
-        return load_graph_binary(handle)

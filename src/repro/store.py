@@ -18,16 +18,18 @@ Layout under the store root::
 
 A pack record is::
 
-    magic "FGP1" | crc32:u32 | digest:32 bytes | meta_len:u32 |
+    magic "FGP2" | crc32:u32 | digest:32 bytes | meta_len:u32 |
     blob_len:u32 | metadata JSON | blob
 
 (integers big-endian; the CRC covers everything after itself).  The
 metadata holds the sizes, structural cut capacities and dedup safety
 that the incremental Kraft accounting reads without loading the blob;
-the blob is the :func:`~repro.graph.serialize.dump_graph_binary`
-framing.  Opening a store scans the pack once into an in-memory
-``{digest: record}`` index, so a dedup hit touches no file but the
-manifest and :meth:`ShardStore.meta` reads memory.
+the blob is the shard's canonical ``flowgraph-v1`` text in UTF-8, the
+very bytes its digest hashes, so ``sha256(blob)`` is the record's
+digest.  Opening a store scans the pack once into an in-memory
+``{digest: record}`` index, so a dedup hit costs one hash, one dict
+probe and one manifest ``write``, and :meth:`ShardStore.meta` reads
+memory.
 
 Crash contract.  A record that is short or fails its magic or CRC
 check is never indexed.  When a whole record follows it, the scan
@@ -63,8 +65,10 @@ so a daemon restarting over a kill-9-interrupted ingest reopens the
 corpus instead of raising.
 
 Other corrupt store structure — a pack record whose CRC no longer
-matches, a root in the old one-file-per-shard layout — raises
-:class:`~repro.errors.StoreError`; corrupt graph payloads keep raising
+matches, a root in the old one-file-per-shard layout, a pack of
+``FGP1`` records (the old binary-blob layout, refused before anything
+is written to it) — raises :class:`~repro.errors.StoreError`; corrupt
+graph payloads, a blob that is not UTF-8 included, keep raising
 :class:`~repro.errors.GraphError`, exactly as every other loader in
 the package.
 """
@@ -73,6 +77,7 @@ from __future__ import annotations
 
 import contextlib
 import fcntl
+import hashlib
 import io
 import json
 import os
@@ -82,16 +87,17 @@ import zlib
 
 from . import obs
 from .durable import LineLog, atomic_write, read_lines
-from .errors import StoreError
+from .errors import GraphError, StoreError
 from .graph.collapse import dedup_safe
-from .graph.serialize import (dump_graph_binary, dumps_graph,
-                              load_graph, load_graph_binary, text_digest)
+from .graph.serialize import dumps_graph, load_graph, text_digest
 
 _DIGEST = re.compile(r"^[0-9a-f]{64}$")
 _MANIFEST = "manifest"
 _OBJECTS = "objects"
 _PACK = "pack"
-_PACK_MAGIC = b"FGP1"
+_PACK_MAGIC = b"FGP2"
+#: the magic of the old pack layout, whose blobs were a binary framing
+_OLD_PACK_MAGIC = b"FGP1"
 #: magic, crc32, raw digest, metadata length, blob length
 _RECORD = struct.Struct(">4sI32sII")
 
@@ -185,11 +191,20 @@ class ShardStore:
         #: ``meta`` is the record's JSON bytes until :meth:`meta` parses it
         self._index = {}
         self._end = 0  # end of the last whole record indexed
-        if self._scan() is None and any(
+        size = self._scan()
+        if size is None and any(
                 name.endswith(".fgb") for name in os.listdir(self._objects)):
             raise StoreError("%s uses the old one-file-per-shard layout "
                              "(objects/<digest>.fgb + .json); this version "
                              "reads only objects/pack" % self.root)
+        if size:
+            with self._pack() as fd:
+                old = os.pread(fd, len(_OLD_PACK_MAGIC), 0)
+            if old == _OLD_PACK_MAGIC:
+                raise StoreError("%s holds FGP1 records, the old "
+                                 "binary-blob pack layout; this version "
+                                 "reads only FGP2 packs of canonical text"
+                                 % self._pack_path)
         self._order = []
         self._counts = {}
         #: ``{"repaired": n, "dropped": m}`` when opening this store had
@@ -259,12 +274,17 @@ class ShardStore:
             entry = self._index.get(digest)
         return entry
 
-    def _append(self, digest, graph, category_edges):
-        """Append ``graph``'s record under the pack lock; returns the
-        blob bytes written (0 when another writer got there first)."""
-        buffer = io.BytesIO()
-        dump_graph_binary(graph, buffer, category_edges=category_edges)
-        blob = buffer.getvalue()
+    def _append(self, digest, text, graph):
+        """Append the record of the shard whose canonical text is
+        ``text`` under the pack lock; returns whether it was written
+        (not when another writer got there first).
+
+        ``graph`` is the parsed shard, or ``None`` to parse ``text``
+        (hardened loader: corrupt text raises
+        :class:`~repro.errors.GraphError`) for its metadata."""
+        if graph is None:
+            graph = load_graph(io.StringIO(text))
+        blob = text.encode("utf-8")
         meta = _shard_meta(graph)
         meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
         fields = (bytes.fromhex(digest), len(meta_bytes), len(blob))
@@ -281,7 +301,7 @@ class ShardStore:
                 if size > self._end:
                     os.ftruncate(fd, self._end)
                 if digest in self._index:
-                    return 0
+                    return False
                 offset = self._end
                 view = memoryview(record)
                 while view:
@@ -291,7 +311,11 @@ class ShardStore:
                                        meta)
             finally:
                 fcntl.flock(fd, fcntl.LOCK_UN)
-        return len(blob)
+        metrics = obs.get_metrics()
+        if metrics.enabled:
+            metrics.incr("store.shards_written")
+            metrics.incr("store.bytes", len(blob))
+        return True
 
     # ------------------------------------------------------------------
     # Manifest
@@ -374,26 +398,21 @@ class ShardStore:
     # ------------------------------------------------------------------
     # Writing
 
-    def _put(self, digest, graph, category_edges, manifest):
-        """Store ``graph`` under ``digest`` unless already stored.
+    def _put(self, text, graph, manifest):
+        """Store the shard whose canonical text is ``text`` unless its
+        digest is already stored; returns the digest.
 
-        ``graph`` may be canonical text, parsed (hardened loader:
-        corrupt text raises :class:`~repro.errors.GraphError`) only
-        when the digest is new.  ``manifest`` appends a corpus entry.
+        ``graph`` is the parsed shard or ``None`` (see :meth:`_append`;
+        text is parsed only when its digest is new).  ``manifest``
+        appends a corpus entry.  A hit, a lost append race included,
+        costs the hash, the index probe, the ``store.dedup`` event and
+        the manifest line.
         """
-        written = 0
-        if digest not in self._index:
-            if isinstance(graph, str):
-                graph = load_graph(io.StringIO(graph))
-            written = self._append(digest, graph, category_edges)
-        metrics = obs.get_metrics()
-        if metrics.enabled:
-            if written:
-                metrics.incr("store.shards_written")
-                metrics.incr("store.bytes", written)
-            else:
+        digest = text_digest(text)
+        if digest in self._index or not self._append(digest, text, graph):
+            metrics = obs.get_metrics()
+            if metrics.enabled:
                 metrics.incr("store.dedup_hits")
-        if not written:
             obs.get_event_log().event("store.dedup", digest=digest)
         if manifest:
             self._append_manifest(digest)
@@ -405,8 +424,8 @@ class ShardStore:
         Content-addressed: an already-seen graph writes nothing but its
         manifest line and bumps the multiplicity.
         """
-        text = dumps_graph(graph, category_edges=category_edges)
-        return self._put(text_digest(text), graph, category_edges, True)
+        return self._put(dumps_graph(graph, category_edges=category_edges),
+                         graph, True)
 
     def put_text(self, text):
         """:meth:`put` for a shard already in canonical text form (as
@@ -417,7 +436,7 @@ class ShardStore:
         a dedup hit costs one hash, one index probe and one manifest
         line.
         """
-        return self._put(text_digest(text), text, None, True)
+        return self._put(text, None, True)
 
     def put_object(self, graph, category_edges=None):
         """Store a graph as a content-addressed object *without* adding
@@ -428,8 +447,8 @@ class ShardStore:
         instead of O(coverage) payloads — and identical subtree merges
         (common under heavy dedup) are written once.
         """
-        text = dumps_graph(graph, category_edges=category_edges)
-        return self._put(text_digest(text), graph, category_edges, False)
+        return self._put(dumps_graph(graph, category_edges=category_edges),
+                         graph, False)
 
     def put_object_text(self, text):
         """:meth:`put_object` for a shard already in canonical text form.
@@ -441,7 +460,7 @@ class ShardStore:
         digest on resume — nothing is double-counted.  The text is
         parsed (hardened loader) only when the digest is new.
         """
-        return self._put(text_digest(text), text, None, False)
+        return self._put(text, None, False)
 
     # ------------------------------------------------------------------
     # Reading
@@ -451,9 +470,11 @@ class ShardStore:
 
     def get(self, digest, verify=False):
         """Load a stored shard.  A record whose CRC no longer matches
-        raises :class:`StoreError`; ``verify=True`` also re-derives the
-        digest from the loaded graph and raises :class:`StoreError` on
-        mismatch (bit-rot detection)."""
+        raises :class:`StoreError`, a blob that does not parse (not
+        UTF-8 included) :class:`~repro.errors.GraphError`;
+        ``verify=True`` first hashes the blob and raises
+        :class:`StoreError` unless that is the digest (bit-rot
+        detection)."""
         entry = self._lookup(digest)
         if entry is None:
             raise StoreError("no object %s in store %s"
@@ -468,14 +489,20 @@ class ShardStore:
             raise StoreError("object %s in store %s: pack record at "
                              "offset %d is corrupt (CRC mismatch)"
                              % (digest, self.root, offset))
-        graph = load_graph_binary(io.BytesIO(body[meta_len:]))
+        blob = body[meta_len:]
         if verify:
-            actual = text_digest(dumps_graph(graph))
+            actual = hashlib.sha256(blob).hexdigest()
             if actual != digest:
                 raise StoreError(
                     "object %s in store %s hashes to %s: blob corrupt"
                     % (digest, self.root, actual))
-        return graph
+        try:
+            text = blob.decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise GraphError("object %s in store %s: blob is not UTF-8 "
+                             "text: %s" % (digest, self.root, error)) \
+                from None
+        return load_graph(io.StringIO(text))
 
     def meta(self, digest):
         """The shard's stored metadata dict (see module docstring)."""
@@ -513,12 +540,7 @@ class ShardStore:
         to folding :meth:`order` literally whenever every shard is
         dedup-safe.
         """
-        seen = {}
-        for digest in self._order:
-            if digest not in seen:
-                seen[digest] = 0
-            seen[digest] += 1
-        return list(seen.items())
+        return list(self._counts.items())
 
     def stats(self):
         """Summary dict for reports and the CLI; ``bytes`` sums the

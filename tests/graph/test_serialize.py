@@ -7,8 +7,8 @@ import pytest
 from repro.errors import GraphError
 from repro.graph.flowgraph import INF, EdgeLabel, FlowGraph
 from repro.graph.maxflow import dinic_max_flow
-from repro.graph.serialize import (dump_graph, load_graph, read_graph,
-                                   save_graph)
+from repro.graph.serialize import (dump_graph, dumps_graph, load_graph,
+                                   read_graph, save_graph)
 from repro.lang import measure
 
 
@@ -40,6 +40,18 @@ class TestRoundTrip:
         assert label.kind == "implicit"
         assert label.location == "file.fl:7(main+2)"
         assert label.context == 12345
+
+    def test_line_breaks_in_names_become_spaces(self):
+        # A newline kept in a field would split its record in two.
+        g = FlowGraph()
+        g.add_edge(g.source, g.sink, 3, EdgeLabel("a.fl:1\nx", 5, "data"))
+        g.add_edge(g.source, g.sink, 2, EdgeLabel("b.fl:2\r\t", None, "io"))
+        text = dumps_graph(g, category_edges={"car\rol\n": [1]})
+        loaded = load_graph(io.StringIO(text))
+        assert [e.label.location for e in loaded.edges] == \
+            ["a.fl:1 x", "b.fl:2  "]
+        assert loaded.category_edges == {"car ol ": [1]}
+        assert dumps_graph(loaded) == text
 
     def test_unlabelled_edges(self):
         g = FlowGraph()

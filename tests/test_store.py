@@ -1,8 +1,10 @@
 """Unit tests for the content-addressed shard store (``repro.store``)."""
 
+import hashlib
 import io
 import multiprocessing
 import os
+import random
 import struct
 import time
 import zlib
@@ -11,16 +13,16 @@ import pytest
 
 from repro import obs
 from repro.errors import GraphError, StoreError
-from repro.graph.flowgraph import EdgeLabel, FlowGraph
-from repro.graph.serialize import dump_graph_binary, dumps_graph, graph_digest
+from repro.graph.flowgraph import INF, EdgeLabel, FlowGraph
+from repro.graph.serialize import dumps_graph, graph_digest, load_graph
 from repro.store import ShardStore
 
 # The documented pack record header, restated here so the tests check
 # the on-disk layout rather than echo the store's own constants:
 # magic, crc32 over the rest of the record, raw digest, metadata
-# length, blob length.
+# length, blob length.  The blob is the shard's canonical text.
 RECORD = struct.Struct(">4sI32sII")
-MAGIC = b"FGP1"
+MAGIC = b"FGP2"
 
 
 def make_graph(capacity=4, location="a.fl:1"):
@@ -33,9 +35,14 @@ def make_graph(capacity=4, location="a.fl:1"):
 
 
 def blob_of(graph):
-    buffer = io.BytesIO()
-    dump_graph_binary(graph, buffer)
-    return buffer.getvalue()
+    return dumps_graph(graph).encode("utf-8")
+
+
+def record_bytes(digest, meta, blob, magic=MAGIC):
+    """One pack record in the documented layout, its CRC stamped."""
+    tail = struct.pack(">32sII", bytes.fromhex(digest), len(meta),
+                       len(blob)) + meta + blob
+    return magic + struct.pack(">I", zlib.crc32(tail)) + tail
 
 
 def pack_records(root, check_crc=True):
@@ -322,10 +329,10 @@ class TestStoreErrors:
     def test_bitrot_detected_on_verify(self, tmp_path):
         root = tmp_path / "store"
         store = ShardStore(root)
-        other = make_graph(capacity=50)
+        other = make_graph(capacity=5)
         digest = store.put(make_graph())
-        # Swap in a different (valid) blob under a matching CRC: only
-        # verify=True notices.
+        # Swap in a different (valid) blob of the same length under a
+        # matching CRC: only verify=True notices.
         rewrite_blob(root, digest, blob_of(other))
         assert dumps_graph(store.get(digest)) == dumps_graph(other)
         with pytest.raises(StoreError):
@@ -347,6 +354,38 @@ class TestStoreErrors:
         rewrite_blob(root, digest, bytes(blob), fix_crc=False)
         with pytest.raises(StoreError, match="CRC"):
             store.get(digest)
+
+    def test_old_binary_pack_refused_untouched(self, tmp_path):
+        # An FGP1 pack (binary blobs) must be refused at open, never
+        # read as one torn tail and truncated by the first append.
+        root = tmp_path / "store"
+        pack = root / "objects" / "pack"
+        pack.parent.mkdir(parents=True)
+        digest = graph_digest(make_graph())
+        old = record_bytes(digest, b"{}", b"fgb1\x00\xdaQ\n", magic=b"FGP1")
+        pack.write_bytes(old + old[:10])
+        for create in (True, False):
+            with pytest.raises(StoreError, match="FGP1"):
+                ShardStore(root, create=create)
+        assert pack.read_bytes() == old + old[:10]
+        assert not (root / "manifest").exists()
+
+    def test_multiplicities_match_order_after_recovery(self, tmp_path):
+        root = tmp_path / "store"
+        first = ShardStore(root)
+        digests = [first.put(make_graph(c)) for c in (1, 2, 1, 3, 2, 1)]
+        first.close()
+        with open(root / "manifest", "a") as handle:
+            handle.write(digests[3][:30])
+        store = ShardStore(root, create=False)
+        store.put(make_graph(2))
+        assert store.recovered == {"repaired": 1, "dropped": 0}
+        rescan = {}
+        for digest in store.order():
+            rescan[digest] = rescan.get(digest, 0) + 1
+        assert store.multiplicities() == list(rescan.items())
+        assert store.multiplicities() == [(digests[0], 3), (digests[1], 3),
+                                          (digests[3], 2)]
 
     def test_old_layout_rejected(self, tmp_path):
         root = tmp_path / "store"
@@ -525,3 +564,192 @@ class TestMetrics:
         assert snapshot["store.shards_written"] == 3
         assert snapshot["store.dedup_hits"] == 1
         assert snapshot["store.bytes"] > 0
+
+
+def random_graph(rng):
+    graph = FlowGraph()
+    width = rng.randrange(1, 4)
+    layer1 = [graph.add_node() for _ in range(width)]
+    layer2 = [graph.add_node() for _ in range(width)]
+    for i in range(width):
+        graph.add_edge(graph.SOURCE, layer1[i], rng.choice([1, 8, 64, INF]))
+        graph.add_edge(layer2[i], graph.SINK, rng.choice([1, 8, 64, INF]))
+        for _ in range(rng.randrange(1, 4)):
+            context = rng.randrange(4) if rng.random() < 0.5 else None
+            graph.add_edge(layer1[i], layer2[rng.randrange(width)],
+                           rng.choice([1, 2, 8]),
+                           label=EdgeLabel("prog.fl:%d" % i, context,
+                                           rng.choice(["data", "implicit"])))
+    return graph
+
+
+def fields(graph):
+    """Everything a loaded graph carries, for exact comparison."""
+    return (graph.num_nodes,
+            [(e.tail, e.head, e.capacity, None if e.label is None
+              else (e.label.kind, e.label.location, e.label.context))
+             for e in graph.edges],
+            getattr(graph, "category_edges", None))
+
+
+class TestTextBlob:
+    """The pack blob is the canonical text: ``get`` returns exactly
+    what ``load_graph`` makes of it, and no damage to a blob under a
+    valid CRC surfaces as anything but ``GraphError`` (``StoreError``
+    under ``verify=True``)."""
+
+    def round_trip(self, tmp_path, graph, category_edges=None):
+        text = dumps_graph(graph, category_edges=category_edges)
+        with ShardStore(tmp_path / "store") as store:
+            digest = store.put(graph, category_edges=category_edges)
+            assert digest == hashlib.sha256(text.encode()).hexdigest()
+            assert store.put_text(text) == digest
+            assert [b for _, d, _, b in pack_records(tmp_path / "store")
+                    if d == digest] == [text.encode("utf-8")]
+            loaded = store.get(digest, verify=True)
+        assert fields(loaded) == fields(load_graph(io.StringIO(text)))
+        assert dumps_graph(loaded) == text
+        return loaded
+
+    def stored(self, tmp_path, blob):
+        """A store whose one record holds ``blob`` (CRC valid) under
+        the digest of :func:`make_graph`; returns store and digest."""
+        digest = graph_digest(make_graph())
+        pack = tmp_path / "store" / "objects" / "pack"
+        pack.parent.mkdir(parents=True, exist_ok=True)
+        pack.write_bytes(record_bytes(digest, b"{}", blob))
+        return ShardStore(tmp_path / "store", create=False), digest
+
+    def outcome(self, tmp_path, blob):
+        """``get`` of a damaged blob: ``"ok"`` or ``"graph-error"``;
+        any other exception fails the test, and ``verify=True`` must
+        raise ``StoreError``."""
+        store, digest = self.stored(tmp_path, blob)
+        with store:
+            with pytest.raises(StoreError, match="hashes to"):
+                store.get(digest, verify=True)
+            try:
+                store.get(digest)
+            except GraphError:
+                return "graph-error"
+        return "ok"
+
+    def blob(self):
+        graph = random_graph(random.Random(17))
+        return dumps_graph(graph, category_edges={"alice": [0]}) \
+            .encode("utf-8")
+
+    def test_structure_and_labels_preserved(self, tmp_path):
+        g = FlowGraph()
+        a = g.add_node()
+        g.add_edge(g.SOURCE, a, 7,
+                   EdgeLabel("file.fl:7(main+2)", 12345, "implicit"))
+        g.add_edge(a, g.SINK, INF)
+        loaded = self.round_trip(tmp_path, g)
+        assert loaded.num_nodes == g.num_nodes
+        label = loaded.edges[0].label
+        assert (label.kind, label.location, label.context) == \
+            ("implicit", "file.fl:7(main+2)", 12345)
+        assert loaded.edges[1].label is None
+
+    def test_random_graphs_round_trip(self, tmp_path):
+        rng = random.Random(7)
+        for index in range(50):
+            graph = random_graph(rng)
+            loaded = self.round_trip(tmp_path / str(index), graph)
+            assert graph_digest(loaded) == graph_digest(graph)
+
+    def test_category_records_round_trip(self, tmp_path):
+        g = FlowGraph()
+        a = g.add_node()
+        g.add_edge(g.SOURCE, a, 8)
+        g.add_edge(a, g.SINK, 8)
+        loaded = self.round_trip(tmp_path, g, category_edges={"alice": [0]})
+        assert loaded.category_edges == {"alice": [0]}
+
+    def test_capacity_saturates_at_inf(self, tmp_path):
+        g = FlowGraph()
+        g.add_edge(g.SOURCE, g.SINK, INF * 3)
+        assert self.round_trip(tmp_path, g).edges[0].capacity == INF
+
+    def test_control_characters_in_names_sanitized(self, tmp_path):
+        g = FlowGraph()
+        g.add_edge(g.SOURCE, g.SINK, 1,
+                   EdgeLabel("has\ttab\nand\r\nbreaks", None, "data"))
+        loaded = self.round_trip(tmp_path, g,
+                                 category_edges={"al\nice\t": [0]})
+        assert loaded.edges[0].label.location == "has tab and  breaks"
+        assert loaded.category_edges == {"al ice ": [0]}
+
+    def test_non_ascii_location_round_trips(self, tmp_path):
+        g = FlowGraph()
+        g.add_edge(g.SOURCE, g.SINK, 2, EdgeLabel("prüfung.fl:3 ✓", 9, "data"))
+        loaded = self.round_trip(tmp_path, g)
+        assert loaded.edges[0].label.location == "prüfung.fl:3 ✓"
+
+    def test_non_utf8_blob_rejected(self, tmp_path):
+        store, digest = self.stored(tmp_path,
+                                    b"flowgraph-v1\nn\t2\ne\t0\t1\t4\tdata"
+                                    b"\t\xff\xfe\t-\n")
+        with store, pytest.raises(GraphError, match="UTF-8"):
+            store.get(digest)
+
+    def test_empty_blob_rejected(self, tmp_path):
+        store, digest = self.stored(tmp_path, b"")
+        with store, pytest.raises(GraphError):
+            store.get(digest)
+
+    def test_blob_without_header_rejected(self, tmp_path):
+        store, digest = self.stored(tmp_path, b"not a shard at all")
+        with store, pytest.raises(GraphError, match="flowgraph-v1"):
+            store.get(digest)
+
+    def test_unknown_record_names_the_line(self, tmp_path):
+        store, digest = self.stored(tmp_path,
+                                    blob_of(make_graph()) + b"Z\t0\n")
+        with store, pytest.raises(GraphError, match="line 5"):
+            store.get(digest)
+
+    def test_out_of_range_edge_endpoint_rejected(self, tmp_path):
+        text = blob_of(make_graph())
+        assert b"\nn\t3\n" in text
+        store, digest = self.stored(tmp_path,
+                                    text.replace(b"\nn\t3\n", b"\nn\t2\n"))
+        with store, pytest.raises(GraphError):
+            store.get(digest)
+
+    def test_category_index_out_of_range_rejected(self, tmp_path):
+        store, digest = self.stored(tmp_path,
+                                    blob_of(make_graph()) + b"c\talice\t99\n")
+        with store, pytest.raises(GraphError, match="alice"):
+            store.get(digest)
+
+    def test_every_byte_truncation(self, tmp_path):
+        blob = self.blob()
+        outcomes = {"ok": 0, "graph-error": 0}
+        for end in range(len(blob)):
+            outcomes[self.outcome(tmp_path, blob[:end])] += 1
+        # A text cut can still parse (at a line end, or mid-number);
+        # only verify=True, which hashes the blob, catches every one.
+        assert outcomes["graph-error"] > len(blob) * 0.75
+
+    def test_random_byte_flips(self, tmp_path):
+        blob = self.blob()
+        rng = random.Random(23)
+        for _ in range(500):
+            corrupted = bytearray(blob)
+            position = rng.randrange(len(corrupted))
+            corrupted[position] ^= 1 << rng.randrange(8)
+            self.outcome(tmp_path, bytes(corrupted))
+
+    def test_random_splices(self, tmp_path):
+        blob = self.blob()
+        rng = random.Random(29)
+        for _ in range(200):
+            lo = rng.randrange(len(blob))
+            hi = rng.randrange(lo, min(len(blob), lo + 32) + 1)
+            junk = bytes(rng.randrange(256)
+                         for _ in range(rng.randrange(8)))
+            spliced = blob[:lo] + junk + blob[hi:]
+            if spliced != blob:
+                self.outcome(tmp_path, spliced)
