@@ -53,6 +53,19 @@ compiles once.  The contract:
 Jobs take everything through their payloads (see below), so a worker
 forked several maps ago computes what a fresh one would.
 
+Dispatch
+--------
+
+A ``jobs=N`` map keeps up to ``2 × workers`` jobs submitted: each
+worker runs one and has one queued behind it, so a worker that
+finishes takes its next job straight from the pool's call queue instead
+of waiting for the parent to see the result and submit again.  The
+pool hands calls to workers in submission order, so the oldest
+``workers`` unresolved jobs are the *started* ones; when a started job
+resolves, the oldest queued job becomes started.  Only a started job
+runs against its ``timeout``, from the moment it became started, so a
+deadline measures running time, not time spent queued.
+
 Fault tolerance
 ---------------
 
@@ -71,9 +84,14 @@ secret, a worker hangs, the pool dies.  The engine dispatches with
   exponential backoff, up to ``retries`` times per job.  The pool is
   torn down and resurrected; a job that keeps striking is quarantined
   (recorded as a :class:`JobFailure` instead of looping forever).  A
-  broken pool does not say which job killed it, so when several jobs
-  shared it they are re-run one at a time before fan-out resumes: only
-  a job that breaks a pool on its own takes a strike.
+  broken pool does not say which job killed it, so when several
+  started jobs shared it they are re-run one at a time before fan-out
+  resumes: only a job that breaks a pool on its own takes a strike.
+  Queued jobs of a torn-down pool (broken or killed for a timeout) go
+  back to the front of the queue with their attempt undone: no strike,
+  no retry, no event.  One a worker took just before the parent saw
+  its sibling finish is thereby re-run, not struck; if it did break
+  the pool, it breaks the next one as a started job and is struck then.
 * ``on_error="raise"`` (the default) re-raises the first failure's
   original exception, preserving the pre-fault-tolerance behavior;
   ``on_error="collect"`` returns the failure records in the result
@@ -548,10 +566,12 @@ class BatchEngine:
         of the batch.  It fires in resolution order, not payload order.
 
         ``stop()``, when given, is polled between dispatches; once it
-        returns true no *new* payload is launched (in-flight pool jobs
-        drain normally).  Unlaunched slots keep the :data:`PENDING`
-        sentinel in the returned list, so a draining caller can tell
-        "never ran" from "ran and failed".
+        returns true no *new* payload is launched, and a queued pool job
+        that no worker has taken yet is cancelled; every other
+        submitted job drains normally, its outcome passed to
+        ``on_outcome``.  Unlaunched and cancelled slots keep the
+        :data:`PENDING` sentinel in the returned list, so a draining
+        caller can tell "never ran" from "ran and failed".
         """
         payloads = list(payloads)
         metrics = obs.get_metrics()
@@ -689,7 +709,34 @@ class BatchEngine:
         suspects = collections.deque()  # re-run alone after a break
         pool = None
         futures = {}            # future -> payload index
-        deadlines = {}          # future -> monotonic deadline or None
+        # The pool hands calls to workers in submission order, so the
+        # oldest ``workers`` unresolved futures are the *started* ones,
+        # each with a deadline; the rest are *queued* behind them.
+        deadlines = {}          # started future -> monotonic deadline/None
+        queued = collections.deque()  # queued futures, oldest first
+
+        def start(future):
+            deadlines[future] = (time.monotonic() + faults.timeout
+                                 if faults.timeout is not None else None)
+
+        def forget(future):
+            """Drop a resolved future from the books; its payload index."""
+            if future in deadlines:
+                del deadlines[future]
+            else:
+                queued.remove(future)
+            return futures.pop(future)
+
+        def requeue_queued():
+            """Put the queued jobs of a pool being torn down back at the
+            front of ``pending``, their attempt undone: they never ran
+            (or, taken a moment before a sibling resolved, run again as
+            started jobs), so they take no strike."""
+            indices = [futures.pop(future) for future in queued]
+            queued.clear()
+            for index in reversed(indices):
+                attempts[index] -= 1
+                pending.appendleft(index)
 
         def absorb(index, ok, value, snapshot, spans, events, rsample,
                    wall):
@@ -764,20 +811,26 @@ class BatchEngine:
 
         try:
             while pending or suspects or futures:
-                if stop is not None and (pending or suspects) and stop():
-                    # Drain: drop unlaunched payloads (their slots stay
-                    # PENDING); in-flight jobs finish normally.
+                if (stop is not None and (pending or suspects or queued)
+                        and stop()):
+                    # Drain: drop unlaunched payloads and cancel the
+                    # queued jobs no worker has taken (their slots stay
+                    # PENDING); every other job finishes normally.
                     pending.clear()
                     suspects.clear()
+                    for future in list(queued):
+                        if future.cancel():
+                            queued.remove(future)
+                            del futures[future]
                     if not futures:
                         break
                 if pool is None:
                     pool = _lease_pool(workers)
-                # Keep at most ``workers`` jobs in flight, so a
-                # submitted job starts (nearly) immediately and its
-                # wall-clock deadline measures *running* time, not
-                # queueing time.  A suspect runs with nothing beside it.
-                while (pending or suspects) and len(futures) < workers:
+                # Keep each worker busy with one job queued behind it, so
+                # a worker that finishes takes its next job without a
+                # round trip through this thread.  A suspect runs with
+                # nothing beside it.
+                while (pending or suspects) and len(futures) < 2 * workers:
                     alone = bool(suspects)
                     if alone and futures:
                         break
@@ -805,9 +858,10 @@ class BatchEngine:
                                             restarts=stats.restarts)
                         break
                     futures[future] = index
-                    deadlines[future] = (
-                        time.monotonic() + faults.timeout
-                        if faults.timeout is not None else None)
+                    if len(deadlines) < workers:
+                        start(future)
+                    else:
+                        queued.append(future)
                     if alone:
                         break
                 if not futures:
@@ -824,10 +878,7 @@ class BatchEngine:
                            if deadline is not None and now >= deadline
                            and not future.done()]
                 broken = None
-                crashed = []
                 for future in done:
-                    index = futures.pop(future)
-                    deadlines.pop(future)
                     try:
                         (ok, value, snapshot, spans, events, rsample,
                          wall) = future.result()
@@ -835,20 +886,21 @@ class BatchEngine:
                         # The whole pool is dead; every sibling future
                         # breaks too.  Handled below in one sweep.
                         broken = error
-                        crashed.append(index)
                     except Exception as error:
                         # Pickling/transport failure between parent and
                         # worker: transient per policy.
-                        strike(index, error)
+                        strike(forget(future), error)
                     else:
-                        absorb(index, ok, value, snapshot, spans, events,
-                               rsample, wall)
+                        absorb(forget(future), ok, value, snapshot, spans,
+                               events, rsample, wall)
                 if broken is not None:
-                    # Every job still in flight was a (potential)
-                    # offender.  Tear the dead pool down first, so a
-                    # strike that raises in "raise" mode never leaves
-                    # the finally clause waiting on a dead pool.
-                    in_flight = sorted(crashed + list(futures.values()))
+                    # Every started job still in flight was a
+                    # (potential) offender.  Tear the dead pool down
+                    # first, so a strike that raises in "raise" mode
+                    # never leaves the finally clause waiting on a dead
+                    # pool.
+                    in_flight = sorted(futures[f] for f in deadlines)
+                    requeue_queued()
                     futures.clear()
                     deadlines.clear()
                     _terminate_pool(pool)
@@ -875,20 +927,21 @@ class BatchEngine:
                     # the only way to reclaim it.
                     victims = []
                     timed_out = []
-                    for future, index in list(futures.items()):
+                    for future in list(futures):
                         if future in expired:
-                            timed_out.append(index)
+                            timed_out.append(forget(future))
                         elif future.done():
                             try:
                                 (ok, value, snapshot, spans, events,
                                  rsample, wall) = future.result()
                             except Exception as error:
-                                strike(index, error)
+                                strike(forget(future), error)
                             else:
-                                absorb(index, ok, value, snapshot, spans,
-                                       events, rsample, wall)
-                        else:
-                            victims.append(index)
+                                absorb(forget(future), ok, value, snapshot,
+                                       spans, events, rsample, wall)
+                        elif future in deadlines:
+                            victims.append(forget(future))
+                    requeue_queued()
                     futures.clear()
                     deadlines.clear()
                     _terminate_pool(pool)
@@ -911,6 +964,11 @@ class BatchEngine:
                     for index in sorted(victims, reverse=True):
                         pending.appendleft(index)
                     resurrect(worst)
+                    continue
+                # A worker freed by a resolved job has taken the oldest
+                # queued one: its running time starts now.
+                while queued and len(deadlines) < workers:
+                    start(queued.popleft())
         except BaseException:
             # Abort path (a raised failure, KeyboardInterrupt, a drain
             # signal): never wait on a possibly-hung worker — kill the
@@ -934,9 +992,10 @@ class _Pending:
         return "<pending job>"
 
 
-#: Sentinel left in an outcome slot whose payload was never launched
-#: (a ``stop()`` drain fired first).  Callers that pass ``stop=`` must
-#: treat these slots as "not attempted", never as results.
+#: Sentinel left in an outcome slot whose payload was never launched,
+#: or was cancelled while queued (a ``stop()`` drain fired first).
+#: Callers that pass ``stop=`` must treat these slots as "not
+#: attempted", never as results.
 PENDING = _Pending()
 
 # Backwards-compatible private alias (pre-drain-support name).

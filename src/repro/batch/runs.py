@@ -280,7 +280,8 @@ def measure_program_runs(source, secret_inputs, public_input=b"",
             if isinstance(outcome, JobFailure):
                 failures.append(outcome)
                 continue
-            shipped_bytes += len(outcome["graph"].encode("utf-8"))
+            if metrics.enabled:
+                shipped_bytes += len(outcome["graph"].encode("utf-8"))
             try:
                 if shard_store is not None:
                     # The parent never materializes the graph: the text

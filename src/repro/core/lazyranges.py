@@ -70,16 +70,19 @@ class LazyRangeTable:
         self.max_descriptors = max_descriptors
         self.min_range = min_range
         self.max_exceptions = max_exceptions
-        self._descriptors = []
+        #: The live descriptors, oldest first.  The list object is never
+        #: replaced, so an owner may keep it and test its truth rather
+        #: than call ``len``.
+        self.live = []
         self.stats = {"covers": 0, "eager_covers": 0, "eliminations": 0,
                       "shrinks": 0, "exceptions": 0}
 
     def __len__(self):
-        return len(self._descriptors)
+        return len(self.live)
 
     def descriptors(self):
         """A snapshot of the live descriptors (for tests/inspection)."""
-        return list(self._descriptors)
+        return list(self.live)
 
     def cover(self, start, length, payload):
         """Defer an update of ``[start, start + length)`` with ``payload``.
@@ -91,7 +94,7 @@ class LazyRangeTable:
         if length <= self.min_range:
             self.stats["eager_covers"] += 1
             return False
-        for desc in list(self._descriptors):
+        for desc in list(self.live):
             if desc.start == start and desc.length == length:
                 # The recurring case: a region exit re-covers exactly
                 # the same array each loop iteration.  Compose in place
@@ -100,8 +103,8 @@ class LazyRangeTable:
                 # recently-written cells, which only adds flow (sound).
                 desc.payloads.append(payload)
                 desc.exceptions.clear()
-                self._descriptors.remove(desc)
-                self._descriptors.append(desc)
+                self.live.remove(desc)
+                self.live.append(desc)
                 self.stats["covers"] += 1
                 return True
             if max(desc.start, start) < min(desc.end, start + length):
@@ -109,9 +112,9 @@ class LazyRangeTable:
                 # first; the new cover composes on top of the cells'
                 # then-current state.
                 self._eliminate(desc)
-        if len(self._descriptors) >= self.max_descriptors:
-            self._eliminate(self._descriptors[0])
-        self._descriptors.append(RangeDescriptor(start, length, payload))
+        if len(self.live) >= self.max_descriptors:
+            self._eliminate(self.live[0])
+        self.live.append(RangeDescriptor(start, length, payload))
         self.stats["covers"] += 1
         return True
 
@@ -122,7 +125,7 @@ class LazyRangeTable:
         an address wins (older overlaps were materialized at cover time,
         but newest-first is also the correct tie-break).
         """
-        for desc in reversed(self._descriptors):
+        for desc in reversed(self.live):
             if desc.contains(addr):
                 return desc.payloads
         return None
@@ -130,19 +133,19 @@ class LazyRangeTable:
     def exclude(self, addr):
         """Record a single-address write that overrides deferred state."""
         touched = False
-        for desc in self._descriptors:
+        for desc in self.live:
             if desc.start <= addr < desc.end and addr not in desc.exceptions:
                 desc.exceptions.add(addr)
                 self.stats["exceptions"] += 1
                 touched = True
         if touched:
-            for desc in list(self._descriptors):
+            for desc in list(self.live):
                 self._check_exceptions(desc)
 
     def flush(self):
         """Materialize every descriptor (e.g. at program exit)."""
-        while self._descriptors:
-            self._eliminate(self._descriptors[0])
+        while self.live:
+            self._eliminate(self.live[0])
 
     def discard(self):
         """Drop all deferred state without materializing.
@@ -151,17 +154,17 @@ class LazyRangeTable:
         location is later *read*, and reads materialize on demand -- a
         value nobody reads again contributes no further flow.
         """
-        self._descriptors.clear()
+        self.live.clear()
 
     # ------------------------------------------------------------------
 
     def _check_exceptions(self, desc):
-        if desc not in self._descriptors:
+        if desc not in self.live:
             return
         live = sum(1 for a in desc.exceptions if desc.start <= a < desc.end)
         if live <= self.max_exceptions:
             if live == desc.length:
-                self._descriptors.remove(desc)  # fully overwritten
+                self.live.remove(desc)  # fully overwritten
             return
         midpoint = desc.start + desc.length // 2
         if all(a < midpoint for a in desc.exceptions):
@@ -178,12 +181,12 @@ class LazyRangeTable:
             desc.exceptions = set()
             self.stats["shrinks"] += 1
             if desc.length <= 0:
-                self._descriptors.remove(desc)
+                self.live.remove(desc)
         else:
             self._eliminate(desc)
 
     def _eliminate(self, desc):
-        self._descriptors.remove(desc)
+        self.live.remove(desc)
         self.stats["eliminations"] += 1
         for payload in desc.payloads:
             self._materialize(desc.start, desc.length,

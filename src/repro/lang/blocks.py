@@ -19,11 +19,19 @@ LEAVE, HALT, DECLARR) get no block.
 
 What a block keeps of the interpreter's behaviour:
 
-* **Same calls, same order.**  Each instruction makes the interpreter's
-  tracker and VM calls (``tracker.operation``, ``tracker.branch``,
-  ``VM._array_load`` / ``_array_store``, the region-write notes after a
+* **Same tracker events, same order.**  Each instruction reports what
+  the interpreter reports (``tracker.operation``, a secret branch's
+  implicit flow, ``tracker.indexed``, the region-write notes after a
   store), with the same arguments, the same ``VMError`` text and the
-  same location.
+  same location.  A secret branch calls ``implicit_flow(L, p, 1)``:
+  every tracker's ``branch(L, p)`` is exactly that.
+* **Public work inline.**  The BINOPs in ``_INLINE_BINOPS`` are
+  template arithmetic; the others call an evaluator from
+  :func:`_compile_binop`.  An ALOAD reads ``values``, ``masks`` and
+  ``provs`` itself when its operand is an array, its index is public
+  and in bounds, and ``vm._deferred`` (the lazy table's live
+  descriptors) is empty; any other load, and every ASTORE, goes
+  through ``VM._array_load`` / ``_array_store``.
 * **Steps.**  A block that returns normally counts as its length.  The
   local ``i`` is set to an instruction's index in the block before each
   instruction that can raise; if one raises, the handler adds ``i`` to ``vm.steps`` and re-raises, so the
@@ -35,10 +43,10 @@ What a block keeps of the interpreter's behaviour:
 
 Generated source holds only this module's template text and integers
 formatted with ``%d``.  Every Location, Instr, constant triple,
-evaluator and transfer function is bound by name in the namespace the
-source runs in.  The service compiles tenant programs, so nothing a
-program spells -- identifiers, string initialisers, file names -- ever
-reaches ``compile``.
+evaluator and transfer function, and ``ArrayObject``, is bound by name
+in the namespace the source runs in.  The service compiles tenant
+programs, so nothing a program spells -- identifiers, string
+initialisers, file names -- ever reaches ``compile``.
 """
 
 from __future__ import annotations
@@ -70,39 +78,39 @@ def _signed_value(value, width):
     return (value & (sign - 1)) - (value & sign)
 
 
+#: BINOPs a block computes inline, as template text filled with the
+#: operands' value expressions ``a`` and ``b`` and the width mask ``w``.
+#: Each computes what ``VM._eval_binop`` computes for its name.
+_INLINE_BINOPS = {
+    "add": "(%(a)s + %(b)s) & %(w)d",
+    "sub": "(%(a)s - %(b)s) & %(w)d",
+    "mul": "(%(a)s * %(b)s) & %(w)d",
+    "and": "%(a)s & %(b)s",
+    "or": "%(a)s | %(b)s",
+    "xor": "%(a)s ^ %(b)s",
+    "shl": "(%(a)s << %(b)s) & %(w)d if %(b)s < 64 else 0",
+    "shr": "%(a)s >> %(b)s if %(b)s < 64 else 0",
+    "eq": "1 if %(a)s == %(b)s else 0",
+    "ne": "1 if %(a)s != %(b)s else 0",
+    "ult": "1 if %(a)s < %(b)s else 0",
+    "ule": "1 if %(a)s <= %(b)s else 0",
+    "ugt": "1 if %(a)s > %(b)s else 0",
+    "uge": "1 if %(a)s >= %(b)s else 0",
+}
+
+
 def _compile_binop(name, width, signed):
-    """Build a specialised evaluator for one (name, width, signed) BINOP.
+    """Build an evaluator for one (name, width, signed) BINOP that a
+    block calls rather than inlines: division, remainder, arithmetic
+    shift and the signed comparisons.
 
-    The interpreter's ``VM._eval_binop`` re-dispatches on the operation
-    name (a string-comparison chain) and recomputes the width mask on
-    every execution.  A block binds one closure per BINOP instruction
-    instead, with the mask baked in; the closures compute exactly what
-    the chain computes.
-
-    Returns ``(evaluator, result_width)`` where ``evaluator(av, bv,
-    loc)`` yields the concrete result value; ``None`` for unknown names
-    (such a BINOP gets no block, and the interpreter raises the right
-    :class:`~repro.errors.VMError`).
+    Returns ``evaluator(av, bv, loc)``, which yields what
+    ``VM._eval_binop`` yields (and raises its :class:`~repro.errors.VMError`
+    on division by zero); ``None`` for any other name (an unknown one
+    gets no block, and the interpreter raises the right error).
     """
     w = width_mask(width)
-    result_width = 1 if name in transfer.COMPARISONS else width
-    if name == "add":
-        fn = lambda av, bv, loc: (av + bv) & w
-    elif name == "sub":
-        fn = lambda av, bv, loc: (av - bv) & w
-    elif name == "mul":
-        fn = lambda av, bv, loc: (av * bv) & w
-    elif name == "and":
-        fn = lambda av, bv, loc: av & bv
-    elif name == "or":
-        fn = lambda av, bv, loc: av | bv
-    elif name == "xor":
-        fn = lambda av, bv, loc: av ^ bv
-    elif name == "shl":
-        fn = lambda av, bv, loc: (av << bv) & w if bv < 64 else 0
-    elif name == "shr":
-        fn = lambda av, bv, loc: av >> bv if bv < 64 else 0
-    elif name == "sar":
+    if name == "sar":
         fn = lambda av, bv, loc: \
             (_signed_value(av, width) >> min(bv, 63)) & w
     elif name in ("div", "mod"):
@@ -122,10 +130,6 @@ def _compile_binop(name, width, signed):
                     remainder = -remainder
                 return remainder & w
             return (av // bv) & w if _div else (av % bv) & w
-    elif name == "eq":
-        fn = lambda av, bv, loc: int(av == bv)
-    elif name == "ne":
-        fn = lambda av, bv, loc: int(av != bv)
     elif name in ("lt", "le", "gt", "ge"):
         op = name
         def fn(av, bv, loc, _op=op):
@@ -138,23 +142,16 @@ def _compile_binop(name, width, signed):
             if _op == "gt":
                 return int(sa > sb)
             return int(sa >= sb)
-    elif name == "ult":
-        fn = lambda av, bv, loc: int(av < bv)
-    elif name == "ule":
-        fn = lambda av, bv, loc: int(av <= bv)
-    elif name == "ugt":
-        fn = lambda av, bv, loc: int(av > bv)
-    elif name == "uge":
-        fn = lambda av, bv, loc: int(av >= bv)
     else:
         return None
-    return fn, result_width
+    return fn
 
 
 def _in_block(instr):
     if instr.op == Op.BINOP:
         # An unknown operation is left to the interpreter, which raises.
-        return _compile_binop(*instr.arg) is not None
+        return (instr.arg[0] in _INLINE_BINOPS
+                or _compile_binop(*instr.arg) is not None)
     return instr.op in _BLOCK_OPS
 
 
@@ -292,10 +289,25 @@ class _BlockWriter:
 
     def op_ALOAD(self, pc, instr):
         index = self.pop()
-        array = self.pop()
-        self.push_call("vm._array_load(%s, %s, %s)",
-                       self.bind("I", pc, instr), array.whole(),
-                       index.whole())
+        array = self.pop().whole()
+        j = index.part(0)
+        if index.parts is None:
+            j = self.temp("x")
+            self.emit("%s = %s[0]", j, index.name)
+        # A public, in-bounds index into an array with no deferred
+        # region update is read here; anything else takes the VM's path.
+        test = ["isinstance(%s, ArrayObject)" % array,
+                "0 <= %s < %s.length" % (j, array), "not vm._deferred"]
+        if index.part(1) != "0":
+            test.insert(0, "not %s" % index.part(1))
+        parts = (self.temp("x"), self.temp("m"), self.temp("p"))
+        self.emit("if %s:", " and ".join(test))
+        for name, field in zip(parts, ("values", "masks", "provs")):
+            self.emit("    %s = %s.%s[%s]", name, array, field, j)
+        self.emit("else:")
+        self.emit("    %s = vm._array_load(%s, %s, %s)", ", ".join(parts),
+                  self.bind("I", pc, instr), array, index.whole())
+        self.stack.append(_Value(None, parts))
 
     def op_ASTORE(self, pc, instr):
         value = self.pop()
@@ -312,13 +324,19 @@ class _BlockWriter:
 
     def op_BINOP(self, pc, instr):
         name, width, _signed = instr.arg
-        evaluator, result_width = _compile_binop(*instr.arg)
+        result_width = 1 if name in transfer.COMPARISONS else width
         b = self.pop()
         a = self.pop()
         loc = self.bind("L", pc, instr.loc)
         value = self.temp("x")
-        self.emit("%s = %s(%s, %s, %s)", value,
-                  self.bind("E", pc, evaluator), a.part(0), b.part(0), loc)
+        template = _INLINE_BINOPS.get(name)
+        if template is not None:
+            self.emit("%s = %s", value, template % {
+                "a": a.part(0), "b": b.part(0), "w": width_mask(width)})
+        else:
+            self.emit("%s = %s(%s, %s, %s)", value,
+                      self.bind("E", pc, _compile_binop(*instr.arg)),
+                      a.part(0), b.part(0), loc)
         secret = [m for m in (a.part(1), b.part(1)) if m != "0"]
         if not secret:
             self.stack.append(_Value(None, (value, "0", "PUBLIC")))
@@ -357,7 +375,9 @@ class _BlockWriter:
         cond = self.pop()
         if cond.part(1) != "0":
             self.emit("if %s:", cond.part(1))
-            self.emit("    vm.tracker.branch(%s, %s)",
+            # ``branch(L, p)`` is ``implicit_flow(L, p, bits_for_arms(2))``
+            # on every tracker, and two arms reveal one bit.
+            self.emit("    vm.tracker.implicit_flow(%s, %s, 1)",
                       self.bind("L", pc, instr.loc), cond.part(2))
         self.flush()
         self.emit("if %s == 0:", cond.part(0))
@@ -366,8 +386,10 @@ class _BlockWriter:
 
 
 def _namespace():
+    from .vm import ArrayObject  # the VM module imports this one
     return {"PUBLIC": PUBLIC, "VMError": VMError, "UNINIT": _UNINIT,
-            "LOCAL": "local", "GLOBAL": "global"}
+            "LOCAL": "local", "GLOBAL": "global",
+            "ArrayObject": ArrayObject}
 
 
 def _generate(function, namespace):

@@ -229,6 +229,10 @@ class VM:
             self.lazy = LazyRangeTable(self._materialize_range)
         else:
             self.lazy = None
+        #: The lazy table's live descriptor list (``()`` without one):
+        #: non-empty exactly while deferred region state exists.  A
+        #: truth test on it is no call, so compiled blocks use it too.
+        self._deferred = self.lazy.live if lazy_regions else ()
         self._init_globals()
 
     # ------------------------------------------------------------------
@@ -661,7 +665,7 @@ class VM:
         if not (0 <= i < array.length):
             raise VMError("array index %d out of bounds (len %d)"
                           % (i, array.length), instr.loc)
-        if self.lazy is not None and len(self.lazy):
+        if self._deferred:
             self._materialize_single(array, i)
         return (array.values[i], array.masks[i], array.provs[i])
 
@@ -677,7 +681,7 @@ class VM:
         self._store_element(instr, array, i, value)
 
     def _store_element(self, instr, array, i, value):
-        if self.lazy is not None and len(self.lazy):
+        if self._deferred:
             self.lazy.exclude(array.base_addr + i)
         array.values[i] = value[0]
         array.masks[i] = value[1]
@@ -767,7 +771,7 @@ class VM:
 
     def _store_element_raw(self, array, i, value):
         """Store without write-checking: input arrival, not program writes."""
-        if self.lazy is not None and len(self.lazy):
+        if self._deferred:
             self.lazy.exclude(array.base_addr + i)
         array.values[i] = value[0]
         array.masks[i] = value[1]
@@ -801,7 +805,7 @@ class VM:
         count = min(count, array.length)
         provs = []
         for i in range(count):
-            if self.lazy is not None and len(self.lazy):
+            if self._deferred:
                 self._materialize_single(array, i)
             self.outputs.append(array.values[i])
             self.output_bytes.append(array.values[i] & 0xFF)

@@ -25,7 +25,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro import obs
-from repro.batch import (BatchEngine, FaultPolicy, JobFailure,
+from repro.batch import (PENDING, BatchEngine, FaultPolicy, JobFailure,
                          measure_program_runs)
 from repro.batch import engine as engine_module
 from repro.batch import runs as runs_module
@@ -133,6 +133,23 @@ class BrokenPool:
 
     def shutdown(self, wait=True, cancel_futures=False):
         pass
+
+
+class KillerPool(SyncPool):
+    """Runs jobs eagerly until ``killer`` is submitted; that future and
+    every later one then fail with ``BrokenProcessPool``, as calls
+    queued in a real pool do when one of its workers dies."""
+
+    def __init__(self, killer):
+        super().__init__()
+        self.killer = killer
+        self.broken = False
+
+    def submit(self, fn, item):
+        self.broken = self.broken or item[1] == self.killer
+        if self.broken:
+            return BrokenPool().submit(fn, item)
+        return super().submit(fn, item)
 
 
 def install_flaky_pools(monkeypatch, broken_count=1):
@@ -313,6 +330,29 @@ class TestPoolResurrection:
         assert snap["batch.failures"] == 1
 
 
+    def test_queued_jobs_behind_a_pool_killer_are_not_struck(
+            self, monkeypatch, metrics):
+        """Two jobs run and two wait behind them.  The pool dies under
+        the killer while the other two are still queued: only the
+        killer, the one started job in flight, is struck."""
+        made = []
+
+        def factory(workers):
+            made.append(KillerPool(0) if not made else SyncPool())
+            return made[-1]
+
+        monkeypatch.setattr(engine_module, "_make_pool", factory)
+        engine = BatchEngine(2, faults=FaultPolicy(on_error="collect"))
+        outcomes = engine.map(square, [1, 0, 3, 4, 5])
+        assert isinstance(outcomes[1], JobFailure)
+        assert outcomes[1].quarantined and outcomes[1].attempts == 1
+        assert [outcomes[i] for i in (0, 2, 3, 4)] == [1, 9, 16, 25]
+        snap = metrics.snapshot()
+        assert snap["batch.failures"] == 1
+        assert snap["batch.retries"] == 0
+        assert snap["batch.pool_restarts"] == 1
+
+
 # ----------------------------------------------------------------------
 # (c) hung jobs are cut off within timeout + grace
 
@@ -379,6 +419,17 @@ class TestTimeouts:
         assert metrics.snapshot()["batch.quarantined"] == 1
 
 
+    def test_queued_job_deadline_starts_when_it_runs(self, metrics):
+        """Two workers, three jobs: the third waits behind a 0.8 s
+        sibling, and its 1 s budget counts from when a worker takes it."""
+        engine = BatchEngine(2, faults=FaultPolicy(
+            timeout=1.0, on_error="collect"))
+        assert engine.map(sleep_for, [0.8, 0.8, 0.8]) == [0.8, 0.8, 0.8]
+        snap = metrics.snapshot()
+        assert snap["batch.timeouts"] == 0
+        assert snap["batch.pool_restarts"] == 0
+
+
 # ----------------------------------------------------------------------
 # Ordering: results reassemble by payload index, not completion order
 
@@ -395,6 +446,22 @@ class TestOrdering:
         assert isinstance(outcomes[0], JobFailure)
         assert outcomes[0].index == 0
         assert outcomes[1] == 16
+
+
+    def test_stop_with_jobs_queued_leaves_a_resolved_prefix(self):
+        """``stop()`` fires once the first job resolves, with others
+        queued behind the workers: launched jobs drain, the rest stay
+        PENDING, and no slot is checkpointed twice."""
+        resolved = []
+        outcomes = BatchEngine(2).map(
+            sleep_for, [0.05] * 10,
+            on_outcome=lambda index, outcome: resolved.append(index),
+            stop=lambda: bool(resolved))
+        done = [o is not PENDING for o in outcomes]
+        prefix = done.index(False)
+        assert 2 <= prefix < len(outcomes)
+        assert not any(done[prefix:])
+        assert sorted(resolved) == list(range(prefix))
 
 
 # ----------------------------------------------------------------------

@@ -202,6 +202,89 @@ def test_raising_step_count_is_exact():
             assert run_once(source, b"\x07", b"", backend)["steps"] == div_pc
 
 
+# A block reads a public, in-bounds ALOAD itself; a secret index, an
+# index out of bounds and a live lazy descriptor take VM._array_load.
+
+SECRET_INDEX = """
+fn main() {
+    var tab: u8[8];
+    var k: u32 = 0;
+    while (k < 8) { tab[k] = u8(k * 3); k = k + 1; }
+    var x: u8 = secret_u8();
+    var z: u8 = 0;
+    k = 0;
+    while (k < 4) { z = z ^ tab[(u32(x) + k) & 7]; k = k + 1; }
+    output(z);
+}
+"""
+
+LOOP_PAST_END = """
+fn main() {
+    var tab: u8[4];
+    var x: u8 = secret_u8();
+    var z: u8 = x;
+    var k: u32 = 0;
+    while (k < 6) { z = z ^ tab[k]; k = k + 1; }
+    output(z);
+}
+"""
+
+LOAD_UNDER_DESCRIPTOR = """
+fn main() {
+    var arr: u8[32];
+    var s: u8 = secret_u8();
+    enclose (arr[..]) {
+        arr[u32(s) % 32] = 7;
+    }
+    var z: u8 = 0;
+    var k: u32 = 0;
+    while (k < 32) { z = z ^ arr[k] ^ arr[k]; k = k + 1; }
+    output(z);
+}
+"""
+
+
+class IndexCounting(TraceBuilder):
+    def __init__(self):
+        super().__init__()
+        self.indexed_calls = 0
+
+    def indexed(self, location, index):
+        self.indexed_calls += 1
+        super().indexed(location, index)
+
+
+class TestLoadFallbacks:
+    def test_secret_index_is_reported(self):
+        assert_same(SECRET_INDEX, b"\x05")
+        calls = []
+        for backend in ("reference", "fast"):
+            tracker = IndexCounting()
+            VM(compile_cached(SECRET_INDEX), tracker, secret_input=b"\x05",
+               backend=backend).run()
+            calls.append(tracker.indexed_calls)
+        assert calls == [4, 4]
+
+    def test_index_past_the_end(self):
+        result = assert_same(LOOP_PAST_END, b"\x07")
+        assert result["error"][0] == "VMError"
+        assert "array index 4 out of bounds (len 4)" in result["error"][1]
+
+    def test_live_descriptor_materializes_each_element_once(self,
+                                                            monkeypatch):
+        applied = {}
+        real = VM._apply_region_to_element
+
+        def counting(vm, array, i, *args):
+            applied.setdefault(vm.backend, []).append(i)
+            return real(vm, array, i, *args)
+
+        monkeypatch.setattr(VM, "_apply_region_to_element", counting)
+        assert_same(LOAD_UNDER_DESCRIPTOR, b"\x09")
+        assert sorted(applied["fast"]) == list(range(32))
+        assert applied["fast"] == applied["reference"]
+
+
 class TestWhereBlocksRun:
     def test_blocks_are_cached_on_the_function(self):
         source, secret, public = APP_CASES["count_punct_paper"]

@@ -25,15 +25,16 @@ from .test_vm_dispatch import APP_CASES
 TEMPLATE_NAMES = frozenset([
     # keywords and builtins
     "def", "try", "except", "BaseException", "raise", "return", "if",
-    "else", "is", "None", "or",
+    "else", "is", "None", "or", "and", "not", "isinstance",
     # the block's parameters and step index
     "vm", "frame", "stack", "slots", "i",
     # fixed namespace bindings
-    "PUBLIC", "VMError", "UNINIT", "LOCAL", "GLOBAL",
+    "PUBLIC", "VMError", "UNINIT", "LOCAL", "GLOBAL", "ArrayObject",
     # attributes the template reads or calls
-    "pop", "append", "steps", "tracker", "operation", "branch",
+    "pop", "append", "steps", "tracker", "operation", "implicit_flow",
     "_array_load", "_array_store", "_note_write", "_declare_local",
     "_regions", "globals", "frame_id", "length", "_unop", "_cast",
+    "_deferred", "values", "masks", "provs",
 ])
 
 #: Numbered names: block functions (``b``), temporaries (``s t x m p``)
