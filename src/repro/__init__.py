@@ -28,13 +28,17 @@ text drawing, and a block-sorting compressor).
 
 __version__ = "1.0.0"
 
-from . import core, graph, obs, shadow
-from .core import (CheckTracker, CutPolicy, FlowPolicy, FlowReport,
-                   Location, TraceBuilder, measure_graph, measure_runs)
-from .errors import (CompileError, GraphError, LangError, LexError,
-                     ParseError, PolicyViolation, RegionError, ReproError,
-                     StoreError, TraceError, TypeCheckError, VMError)
-from .store import ShardStore
+from ._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".core": ("core", "CheckTracker", "CutPolicy", "FlowPolicy", "FlowReport",
+              "Location", "TraceBuilder", "measure_graph", "measure_runs"),
+    ".graph": ("graph",), ".obs": ("obs",), ".shadow": ("shadow",),
+    ".errors": ("CompileError", "GraphError", "LangError", "LexError",
+                "ParseError", "PolicyViolation", "RegionError", "ReproError",
+                "StoreError", "TraceError", "TypeCheckError", "VMError"),
+    ".store": ("ShardStore",),
+})
 
 __all__ = [
     "core", "graph", "obs", "shadow",

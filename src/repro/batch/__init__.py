@@ -20,11 +20,15 @@ timeouts, bounded retries of transient pool failures, and the
 
 from __future__ import annotations
 
-from .engine import (ON_ERROR_MODES, PENDING, BatchEngine, FaultPolicy,
-                     JobFailure, shutdown_pools)
-from .runs import (BatchResult, ProgramResult, StoreCombineResult,
-                   combine_store_jobs, measure_by_category_jobs,
-                   measure_program_runs, measure_programs)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".engine": ("ON_ERROR_MODES", "PENDING", "BatchEngine", "FaultPolicy",
+                "JobFailure", "shutdown_pools"),
+    ".runs": ("BatchResult", "ProgramResult", "StoreCombineResult",
+              "combine_store_jobs", "measure_by_category_jobs",
+              "measure_program_runs", "measure_programs"),
+})
 
 __all__ = [
     "BatchEngine", "FaultPolicy", "JobFailure", "ON_ERROR_MODES", "PENDING",

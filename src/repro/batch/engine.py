@@ -108,16 +108,11 @@ attempt is then classified as timed out.
 from __future__ import annotations
 
 import collections
-import concurrent.futures
-import multiprocessing
-import multiprocessing.connection
-import multiprocessing.util
 import os
 import pickle
 import threading
 import time
 import traceback as _traceback
-from concurrent.futures.process import BrokenProcessPool
 
 from .. import obs
 from ..errors import BatchError, JobError, JobTimeout
@@ -325,6 +320,8 @@ def _make_pool(workers):
     Workers are forked, so the pool's owner is each worker's parent,
     which :func:`_watch_parent` relies on.
     """
+    import concurrent.futures
+    import multiprocessing
     return concurrent.futures.ProcessPoolExecutor(
         max_workers=workers, mp_context=multiprocessing.get_context("fork"),
         initializer=_watch_parent, initargs=(os.getpid(),))
@@ -337,6 +334,7 @@ def _pool_alive(pool):
     ``_broken`` flag, which its manager thread sets only some time after
     a worker dies.
     """
+    import multiprocessing.connection
     if getattr(pool, "_broken", False):
         return False
     processes = getattr(pool, "_processes", None)
@@ -384,6 +382,7 @@ def _return_pool(pool, workers):
                 # waits on idle workers forever.  Priority above the
                 # queues' own (10), so the call queue's feeder thread
                 # still runs to deliver the shutdown sentinels.
+                import multiprocessing.util
                 _exit_hook_pid = os.getpid()
                 multiprocessing.util.Finalize(None, shutdown_pools,
                                               exitpriority=20)
@@ -694,6 +693,8 @@ class BatchEngine:
 
     def _pool_map(self, func, payloads, workers, metrics, tracer, map_span,
                   stats, on_outcome=None, stop=None):
+        import concurrent.futures
+        from concurrent.futures.process import BrokenProcessPool
         faults = self.faults
         capture = metrics.enabled
         capture_trace = tracer.enabled

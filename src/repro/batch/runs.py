@@ -36,16 +36,11 @@ from ..core.combine import (IncrementalKraft, StreamingCombiner,
                             kraft_satisfied, kraft_sum)
 from ..core.measure import (MULTI_RUN_COLLAPSE_MODES, measure_graph,
                             measure_runs)
-from ..core.multisecret import CategoryBounds, _restricted_copy
-from ..core.tracker import CollapsingTraceBuilder
 from ..errors import BatchError, GraphError, StoreError
 from ..graph.collapse import collapse_graphs
 from ..graph.maxflow import dinic_max_flow
 from ..graph.mincut import MinCut
 from ..graph.serialize import dump_graph, load_graph
-from ..lang.runner import compile_cached, execute, measure
-from ..lang.vm import check_budgets
-from ..shadow import resolve_backend
 from ..store import ShardStore
 from .engine import BatchEngine, FaultPolicy, JobFailure
 
@@ -188,6 +183,8 @@ def _trace_run_job(payload):
     measures the run's independent bound on it, and serializes it for
     the parent-side combination.
     """
+    from ..core.tracker import CollapsingTraceBuilder
+    from ..lang.runner import compile_cached, execute
     (source, filename, secret, public, collapse, entry, max_steps,
      deadline_seconds, backend) = payload
     compiled = compile_cached(source, filename)
@@ -255,6 +252,11 @@ def measure_program_runs(source, secret_inputs, public_input=b"",
     It is resolved once in the parent so every worker runs the same
     backend regardless of per-process environment.
     """
+    # Load the jobs' modules before the pool forks, so no worker
+    # compiles them itself.
+    from ..lang import runner  # noqa: F401
+    from ..lang.vm import check_budgets
+    from ..shadow import resolve_backend
     _check_collapse(collapse)
     check_budgets(max_steps, deadline_seconds)
     backend = resolve_backend(backend)
@@ -630,6 +632,7 @@ def _category_solve_job(payload):
     own in-memory graph, so the cut carries the caller's original label
     objects, exactly as the serial sweep's does.
     """
+    from ..core.multisecret import _restricted_copy
     text, category, category_edges = payload
     graph = _load_text(text)
     restricted = _restricted_copy(graph, category_edges, [category])
@@ -653,6 +656,7 @@ def measure_by_category_jobs(graph, category_edges, collapse="none",
     missing from ``per_category`` and reported in the returned
     :class:`~repro.core.multisecret.CategoryBounds`' ``failures``.
     """
+    from ..core.multisecret import CategoryBounds, _restricted_copy
     text = _dump_text(graph)
     categories = sorted(category_edges)
     payloads = [(text, category, dict(category_edges))
@@ -712,6 +716,7 @@ class ProgramResult:
 
 def _measure_program_job(payload):
     """Measure one program of a corpus (online-collapsed trace)."""
+    from ..lang.runner import measure
     (name, source, secret, public, collapse, entry, max_steps,
      deadline_seconds, backend) = payload
     t0 = time.perf_counter()
@@ -751,6 +756,9 @@ def measure_programs(items, collapse="context", jobs=1, entry="main",
     worker runs the same one whatever its own environment (an invalid
     selector raises ``ValueError`` before any worker starts, too).
     """
+    from ..lang import runner  # noqa: F401  (before the pool forks)
+    from ..lang.vm import check_budgets
+    from ..shadow import resolve_backend
     _check_collapse(collapse)
     check_budgets(max_steps, deadline_seconds)
     backend = resolve_backend(None)

@@ -44,10 +44,6 @@ from . import obs
 from .core.measure import MULTI_RUN_COLLAPSE_MODES
 from .core.policy import CutPolicy
 from .errors import PolicyViolation, ReproError
-from .lang import check as lang_check
-from .lang import compile_source
-from .lang import lockstep as lang_lockstep
-from .lang import measure as lang_measure
 
 
 def _read_program(path):
@@ -186,13 +182,13 @@ def cmd_measure(args):
         print("error: --online collapses during tracing; "
               "--collapse none is not available", file=sys.stderr)
         return 2
+    from .lang.runner import measure
     source = _read_program(args.program)
-    result = lang_measure(source, secret_input=_input_bytes(args, "secret"),
-                          public_input=_input_bytes(args, "public"),
-                          collapse=args.collapse, filename=args.program,
-                          online=args.online, max_steps=args.max_steps,
-                          deadline_seconds=args.deadline,
-                          backend=args.backend)
+    result = measure(source, secret_input=_input_bytes(args, "secret"),
+                     public_input=_input_bytes(args, "public"),
+                     collapse=args.collapse, filename=args.program,
+                     online=args.online, max_steps=args.max_steps,
+                     deadline_seconds=args.deadline, backend=args.backend)
     if args.json:
         cut = CutPolicy.from_report(result.report)
         print(json.dumps({
@@ -224,11 +220,12 @@ def _load_policy(path):
 
 
 def cmd_check(args):
+    from .lang.runner import check
     source = _read_program(args.program)
-    result = lang_check(source, _load_policy(args.policy),
-                        secret_input=_input_bytes(args, "secret"),
-                        public_input=_input_bytes(args, "public"),
-                        filename=args.program)
+    result = check(source, _load_policy(args.policy),
+                   secret_input=_input_bytes(args, "secret"),
+                   public_input=_input_bytes(args, "public"),
+                   filename=args.program)
     print(repr(result))
     try:
         result.enforce()
@@ -241,12 +238,13 @@ def cmd_check(args):
 
 
 def cmd_lockstep(args):
+    from .lang.runner import lockstep
     source = _read_program(args.program)
-    result = lang_lockstep(source, _load_policy(args.policy),
-                           real_secret=_input_bytes(args, "secret"),
-                           dummy_secret=_input_bytes(args, "dummy"),
-                           public_input=_input_bytes(args, "public"),
-                           filename=args.program)
+    result = lockstep(source, _load_policy(args.policy),
+                      real_secret=_input_bytes(args, "secret"),
+                      dummy_secret=_input_bytes(args, "dummy"),
+                      public_input=_input_bytes(args, "public"),
+                      filename=args.program)
     print(repr(result))
     try:
         result.enforce()
@@ -279,6 +277,7 @@ def cmd_static(args):
 
 
 def cmd_disasm(args):
+    from .lang.runner import compile_source
     compiled = compile_source(_read_program(args.program), args.program)
     print(compiled.disassemble())
     return 0

@@ -6,23 +6,26 @@ pipeline collapses the resulting graph, computes a maximum flow and
 minimum cut, and reports a sound per-execution bound in bits.
 """
 
-from .locations import ContextHasher, Location
-from .tracker import (PUBLIC, CollapsingTraceBuilder, Provenance,
-                      RegionExit, TraceBuilder, bits_for_arms)
-from .regions import DeclaredOutput, RegionWriteChecker
-from .lazyranges import (LazyRangeTable, MAX_DESCRIPTORS, MAX_EXCEPTIONS,
-                         MIN_RANGE, RangeDescriptor)
-from .measure import (COLLAPSE_MODES, MULTI_RUN_COLLAPSE_MODES,
-                      measure_graph, measure_runs)
-from .multisecret import CategoryBounds, measure_by_category
-from .combine import (IncrementalKraft, StreamingCombiner,
-                      code_lengths_for, demonstrate_inconsistency,
-                      kraft_satisfied, kraft_sum)
-from .report import CutDescription, FlowReport
-from .policy import CutPolicy, FlowPolicy
-from .checking import CheckResult, CheckTracker, UnexpectedFlow
-from .lockstep import (LockstepResult, RecordingInterceptor,
-                       ReplayInterceptor, run_lockstep)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".locations": ("ContextHasher", "Location"),
+    ".tracker": ("PUBLIC", "CollapsingTraceBuilder", "Provenance",
+                 "RegionExit", "TraceBuilder", "bits_for_arms"),
+    ".regions": ("DeclaredOutput", "RegionWriteChecker"),
+    ".lazyranges": ("LazyRangeTable", "MAX_DESCRIPTORS", "MAX_EXCEPTIONS",
+                    "MIN_RANGE", "RangeDescriptor"),
+    ".measure": ("COLLAPSE_MODES", "MULTI_RUN_COLLAPSE_MODES",
+                 "measure_graph", "measure_runs"),
+    ".multisecret": ("CategoryBounds", "measure_by_category"),
+    ".combine": ("IncrementalKraft", "StreamingCombiner", "code_lengths_for",
+                 "demonstrate_inconsistency", "kraft_satisfied", "kraft_sum"),
+    ".report": ("CutDescription", "FlowReport"),
+    ".policy": ("CutPolicy", "FlowPolicy"),
+    ".checking": ("CheckResult", "CheckTracker", "UnexpectedFlow"),
+    ".lockstep": ("LockstepResult", "RecordingInterceptor",
+                  "ReplayInterceptor", "run_lockstep"),
+})
 
 __all__ = [
     "ContextHasher", "Location",

@@ -7,16 +7,20 @@ extraction that yields checkable policies (Section 6.1), and the
 label-driven collapsing/combining of Sections 3.2 and 5.2.
 """
 
-from .flowgraph import INF, Edge, EdgeLabel, FlowGraph
-from .maxflow import ResidualNetwork, dinic_max_flow
-from .mincut import CutEdge, MinCut, min_cut, min_cut_from_residual
-from .collapse import (CollapseStats, OnlineCollapser, collapse_graph,
-                       collapse_graph_online, collapse_graphs, dedup_safe)
-from .seriesparallel import SPReduction, reduce_series_parallel
-from .unionfind import UnionFind
-from .dot import to_dot, write_dot
-from .serialize import (dump_graph, dumps_graph, graph_digest, load_graph,
-                        read_graph, save_graph, text_digest)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".flowgraph": ("INF", "Edge", "EdgeLabel", "FlowGraph"),
+    ".maxflow": ("ResidualNetwork", "dinic_max_flow"),
+    ".mincut": ("CutEdge", "MinCut", "min_cut", "min_cut_from_residual"),
+    ".collapse": ("CollapseStats", "OnlineCollapser", "collapse_graph",
+                  "collapse_graph_online", "collapse_graphs", "dedup_safe"),
+    ".seriesparallel": ("SPReduction", "reduce_series_parallel"),
+    ".unionfind": ("UnionFind",),
+    ".dot": ("to_dot", "write_dot"),
+    ".serialize": ("dump_graph", "dumps_graph", "graph_digest", "load_graph",
+                   "read_graph", "save_graph", "text_digest"),
+})
 
 __all__ = [
     "INF", "Edge", "EdgeLabel", "FlowGraph",

@@ -37,13 +37,18 @@ Builtins: ``read_secret``, ``read_public``, ``secret_u8/16/32``,
 ``declassify``, ``check``, ``len``.
 """
 
-from .lexer import Lexer, tokenize
-from .parser import Parser, parse
-from .checker import Checker, check_program
-from .compiler import compile_program
-from .vm import VM, NullTracker
-from .runner import (RunResult, check, compile_cached, compile_source,
-                     execute, lockstep, measure, measure_live, measure_many)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".lexer": ("Lexer", "tokenize"),
+    ".parser": ("Parser", "parse"),
+    ".checker": ("Checker", "check_program"),
+    ".compiler": ("compile_program",),
+    ".vm": ("VM", "NullTracker"),
+    ".runner": ("RunResult", "check", "compile_cached", "compile_source",
+                "execute", "lockstep", "measure", "measure_live",
+                "measure_many"),
+})
 
 __all__ = [
     "Lexer", "tokenize", "Parser", "parse", "Checker", "check_program",

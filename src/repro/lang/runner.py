@@ -14,8 +14,6 @@ from __future__ import annotations
 import hashlib
 
 from .. import obs
-from ..core.checking import CheckTracker
-from ..core.lockstep import run_lockstep
 from ..core.measure import (check_multi_run_collapse, measure_graph,
                              measure_runs)
 from ..core.tracker import CollapsingTraceBuilder, TraceBuilder
@@ -229,6 +227,7 @@ def check(source_or_compiled, policy, secret_input=b"", public_input=b"",
 
     Returns a :class:`~repro.core.checking.CheckResult`.
     """
+    from ..core.checking import CheckTracker
     compiled = _ensure_compiled(source_or_compiled, filename)
     tracker = CheckTracker(policy)
     _vm, result = execute(compiled, secret_input, public_input, tracker,
@@ -243,6 +242,7 @@ def lockstep(source_or_compiled, policy, real_secret, dummy_secret,
 
     Returns a :class:`~repro.core.lockstep.LockstepResult`.
     """
+    from ..core.lockstep import run_lockstep
     compiled = _ensure_compiled(source_or_compiled, filename)
 
     def run_one(secret, interceptor):

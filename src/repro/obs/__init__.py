@@ -41,18 +41,23 @@ resource samples (:mod:`repro.obs.resources`), and drained events to a
 
 from __future__ import annotations
 
+from .._lazy import lazy_exports
 from .catalogue import CATALOGUE, PHASES, MetricSpec, snapshot_keys
-from .export import (FORMAT, Ledger, TelemetryExporter, check_dir,
-                     lint_openmetrics, parse_openmetrics, read_latest,
-                     render_openmetrics)
 from .log import (EVENT_CATALOGUE, RESERVED_FIELDS, EventLog, EventSpec,
                   NullEventLog, event_names)
 from .metrics import Metrics, NullMetrics, histogram_bucket
-from .render import to_json, to_table
-from .resources import SAMPLE_FIELDS, live_graph_sizes, sample, track_builder
 from .trace import (SPAN_CATALOGUE, NullTracer, Span, SpanSpec, Tracer,
                     chrome_trace_events, span_names, write_chrome_trace,
                     write_jsonl)
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".export": ("FORMAT", "Ledger", "TelemetryExporter", "check_dir",
+                "lint_openmetrics", "parse_openmetrics", "read_latest",
+                "render_openmetrics"),
+    ".render": ("to_json", "to_table"),
+    ".resources": ("SAMPLE_FIELDS", "live_graph_sizes", "sample",
+                   "track_builder"),
+})
 
 #: The shared no-op sink (the default process-wide instance).
 NULL_METRICS = NullMetrics()

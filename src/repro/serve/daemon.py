@@ -69,6 +69,8 @@ from ..core.policy import CutPolicy
 from ..durable import LineLog, atomic_write, read_lines
 from ..errors import ServeError
 from ..graph.flowgraph import INF
+# _trace_run_job's modules, loaded here so pool workers fork with them.
+from ..lang import runner  # noqa: F401
 from ..shadow import BACKENDS, resolve_backend
 from ..store import ShardStore
 from .admission import AdmissionController

@@ -1,5 +1,6 @@
 """Tests for the process-pool batch engine."""
 
+import json
 import os
 import signal
 import subprocess
@@ -372,6 +373,36 @@ class TestKeptPool:
         with pytest.raises(ValueError, match="bogus"):
             measure_programs([("a", source, b"\x01"),
                               ("b", source, b"\x02")], jobs=2)
+
+    def test_workers_import_nothing_the_parent_had_not(self):
+        # A module a worker imports after the fork is compiled once per
+        # worker instead of once in the parent: batch set-up pays it.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", FORK_MODULES_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=60, check=True)
+        at_fork, workers = json.loads(done.stdout.splitlines()[-1])
+        assert workers and sorted(set(workers) - set(at_fork)) == []
+        assert "repro.lang.runner" in at_fork
+
+
+FORK_MODULES_SCRIPT = textwrap.dedent("""
+    import json, os, sys
+    forks = []
+    os.register_at_fork(before=lambda: forks.append(
+        {m for m in sys.modules if m.startswith("repro")}))
+    from repro.batch import BatchEngine, measure_program_runs
+
+    def modules(_):
+        return sorted(m for m in sys.modules if m.startswith("repro"))
+
+    measure_program_runs("fn main() { output(secret_u8() & 7); }",
+                         [b"a", b"b", b"c", b"d"], jobs=2)
+    at_fork = set.intersection(*forks)
+    seen = BatchEngine(2).map(modules, range(2))
+    assert len(forks) == 2, len(forks)  # the probe ran in the kept pool
+    print(json.dumps([sorted(at_fork), sorted(set().union(*seen))]))
+""")
 
 
 ORPHAN_SCRIPT = textwrap.dedent("""

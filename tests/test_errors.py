@@ -1,5 +1,10 @@
 """Tests for the shared exception hierarchy and top-level exports."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 import repro
@@ -61,6 +66,32 @@ class TestHierarchy:
         assert "main+3" in str(err)
 
 
+LAZY_PACKAGES = ["repro", "repro.core", "repro.graph", "repro.lang",
+                 "repro.batch", "repro.obs"]
+
+PARITY_SCRIPT = textwrap.dedent("""
+    import importlib, sys
+    name = sys.argv[1]
+    package = importlib.import_module(name)
+    listed = dir(package)
+    for export in package.__all__:
+        assert export in listed, export
+        value = getattr(package, export)
+        scope = {}
+        exec("from %s import %s as value" % (name, export), scope)
+        assert scope["value"] is value, export
+    star = {}
+    exec("from %s import *" % name, star)
+    assert sorted(set(star) - {"__builtins__"}) == sorted(package.__all__)
+    try:
+        package.no_such_name
+    except AttributeError as error:
+        assert repr(name) in str(error), error
+    else:
+        raise AssertionError("an unknown name resolved")
+""")
+
+
 class TestTopLevelApi:
     def test_version(self):
         assert repro.__version__
@@ -68,6 +99,16 @@ class TestTopLevelApi:
     def test_exports_resolve(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_lazy_namespace_matches_eager_one(self, package):
+        # In a fresh interpreter, so each name is resolved on first
+        # access rather than found already cached by another test.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", PARITY_SCRIPT, package],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
 
     def test_one_stop_imports(self):
         # The advertised workflow types are importable from the root.

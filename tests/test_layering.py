@@ -76,18 +76,50 @@ def test_lower_layers_import_upper_ones_only_lazily():
     assert sorted(seen) == ALLOWED
 
 
-def test_importing_lower_layers_leaves_batch_unloaded():
+def _imported(*args):
+    """Every module a fresh interpreter imports while running ``args``
+    (read from ``-X importtime``, so ``-m`` entry points count too)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(PACKAGE_ROOT)] +
         ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = ("import sys, repro.graph, repro.core; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['repro', 'batch'], "
-            "['repro', 'serve'])))")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-X", "importtime", *args],
+                         env=env, capture_output=True, text=True, check=True)
+    return {line.rsplit("|", 1)[1].strip()
+            for line in out.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def _loaded(modules, packages):
+    return sorted(m for m in modules for package in packages
+                  if m == package or m.startswith(package + "."))
+
+
+def test_importing_lower_layers_leaves_batch_unloaded():
+    assert _loaded(_imported("-c", "import repro.graph, repro.core"),
+                   UPPER) == []
+
+
+def test_store_combine_loads_no_tracer_or_pool():
+    modules = _imported("-c", "import repro.store; "
+                        "from repro.batch.runs import combine_store_jobs")
+    assert "repro.batch.runs" in modules
+    assert _loaded(modules, ("repro.lang", "repro.pytrace",
+                             "repro.core.tracker", "repro.serve",
+                             "multiprocessing", "concurrent.futures")) == []
+
+
+def test_pytrace_loads_no_store_batch_lang_or_exporter():
+    modules = _imported("-c", "import repro.pytrace")
+    assert "repro.pytrace.session" in modules
+    assert _loaded(modules, ("repro.store", "repro.batch", "repro.lang",
+                             "repro.obs.export")) == []
+
+
+def test_measure_help_loads_no_upper_layer():
+    modules = _imported("-m", "repro", "measure", "--help")
+    assert "repro.cli" in modules
+    assert _loaded(modules, UPPER) == []
 
 
 def _package_sources():
