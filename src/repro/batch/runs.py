@@ -41,7 +41,6 @@ from ..graph.collapse import collapse_graphs
 from ..graph.maxflow import dinic_max_flow
 from ..graph.mincut import MinCut
 from ..graph.serialize import dump_graph, load_graph
-from ..store import ShardStore
 from .engine import BatchEngine, FaultPolicy, JobFailure
 
 def _check_collapse(collapse):
@@ -413,6 +412,7 @@ def _store_combine_chunk_job(payload):
     process boundary.  Items are ``(digest, mult, nodes, edges,
     runs)`` with per-repeat original sizes.
     """
+    from ..store import ShardStore
     root, items, context_sensitive = payload
     with ShardStore(root, create=False) as store:
         combined = None
@@ -571,6 +571,7 @@ def _open_store(store, cleanup, create=True):
     """A :class:`~repro.store.ShardStore` from a store or a directory
     path; a store opened here is closed when the ``cleanup``
     :class:`~contextlib.ExitStack` unwinds."""
+    from ..store import ShardStore
     if isinstance(store, ShardStore):
         return store
     return cleanup.enter_context(ShardStore(store, create=create))

@@ -27,9 +27,11 @@ that the incremental Kraft accounting reads without loading the blob;
 the blob is the shard's canonical ``flowgraph-v1`` text in UTF-8, the
 very bytes its digest hashes, so ``sha256(blob)`` is the record's
 digest.  Opening a store scans the pack once into an in-memory
-``{digest: record}`` index, so a dedup hit costs one hash, one dict
-probe and one manifest ``write``, and :meth:`ShardStore.meta` reads
-memory.
+``{digest: record}`` index, and each instance memoises the digest of
+every text it put, so a dedup hit of a text the instance has seen
+costs a dict probe, not a hash, and one manifest ``write``; the first
+put of a text through an instance hashes it once.
+:meth:`ShardStore.meta` reads memory.
 
 Crash contract.  A record that is short or fails its magic or CRC
 check is never indexed.  When a whole record follows it, the scan
@@ -178,6 +180,8 @@ class ShardStore:
         self._manifest_handle = None
         self._reader = self._writer = None
         self._closed = False
+        #: canonical text -> digest of every text this instance put
+        self._digests = {}
         self.root = os.fspath(root)
         self._objects = os.path.join(self.root, _OBJECTS)
         self._manifest_path = os.path.join(self.root, _MANIFEST)
@@ -377,10 +381,11 @@ class ShardStore:
         self._counts[digest] = self._counts.get(digest, 0) + 1
 
     def close(self):
-        """Release the manifest handle and the pack descriptors.  Reads
-        stay valid: each then opens and closes a descriptor of its
-        own."""
+        """Release the manifest handle, the pack descriptors and the
+        digest memo.  Reads stay valid: each then opens and closes a
+        descriptor of its own."""
         self._closed = True
+        self._digests = {}
         for handle in (self._manifest_handle, self._reader, self._writer):
             if handle is not None:
                 handle.close()
@@ -404,16 +409,25 @@ class ShardStore:
 
         ``graph`` is the parsed shard or ``None`` (see :meth:`_append`;
         text is parsed only when its digest is new).  ``manifest``
-        appends a corpus entry.  A hit, a lost append race included,
-        costs the hash, the index probe, the ``store.dedup`` event and
-        the manifest line.
+        appends a corpus entry.  A text this instance already put is a
+        hit by its memoised digest (the index only grows) and costs a
+        dict probe, not a hash, plus the manifest line; a first put
+        hashes it.  Only a put that succeeded is memoised.
         """
-        digest = text_digest(text)
-        if digest in self._index or not self._append(digest, text, graph):
+        digest = self._digests.get(text)
+        hit = digest is not None
+        if not hit:
+            digest = text_digest(text)
+            hit = digest in self._index \
+                or not self._append(digest, text, graph)
+            self._digests[text] = digest
+        if hit:
             metrics = obs.get_metrics()
             if metrics.enabled:
                 metrics.incr("store.dedup_hits")
-            obs.get_event_log().event("store.dedup", digest=digest)
+            log = obs.get_event_log()
+            if log.enabled:
+                log.event("store.dedup", digest=digest)
         if manifest:
             self._append_manifest(digest)
         return digest
@@ -432,9 +446,9 @@ class ShardStore:
         shipped home by batch workers).
 
         The graph is parsed (hardened loader: corrupt text raises
-        :class:`~repro.errors.GraphError`) only when the digest is new;
-        a dedup hit costs one hash, one index probe and one manifest
-        line.
+        :class:`~repro.errors.GraphError`, on every attempt) only when
+        the digest is new; a repeated text costs a dict probe, not a
+        hash, and one manifest line.
         """
         return self._put(text, None, True)
 

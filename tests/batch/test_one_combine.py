@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro import store as store_module
 from repro.apps.countpunct import FLOWLANG_SOURCE as COUNTPUNCT
 from repro.batch import combine_store_jobs, measure_program_runs
 from repro.batch import runs as runs_module
@@ -115,7 +116,7 @@ class TestInMemoryCombine:
         def no_store(*_args, **_kwargs):
             raise AssertionError("a root-only combine opened a store")
 
-        monkeypatch.setattr(runs_module, "ShardStore", no_store)
+        monkeypatch.setattr(store_module, "ShardStore", no_store)
         rng = random.Random(601)
         runs = [shard(rng) for _ in range(5)]
         result = runs_module._combine([(graph, 1) for graph in runs], None)

@@ -76,18 +76,32 @@ def test_lower_layers_import_upper_ones_only_lazily():
     assert sorted(seen) == ALLOWED
 
 
-def _imported(*args):
-    """Every module a fresh interpreter imports while running ``args``
-    (read from ``-X importtime``, so ``-m`` entry points count too)."""
+def _run(*args):
+    """A fresh interpreter's completed run of ``args``, this package on
+    its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(PACKAGE_ROOT)] +
         ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-X", "importtime", *args],
-                         env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, check=True)
+
+
+def _imported(*args):
+    """Every module a fresh interpreter imports while running ``args``
+    (read from ``-X importtime``, so ``-m`` entry points count too)."""
+    out = _run("-X", "importtime", *args)
     return {line.rsplit("|", 1)[1].strip()
             for line in out.stderr.splitlines()
             if line.startswith("import time:")}
+
+
+def _modules_after(code):
+    """``sys.modules`` of a fresh interpreter after running ``code``.
+    Unlike ``-X importtime`` it lists the submodules that a lazy
+    package name loads through ``importlib.import_module``."""
+    return set(_run("-c", code + "\nimport sys\nprint(*sys.modules)")
+               .stdout.split())
 
 
 def _loaded(modules, packages):
@@ -107,6 +121,13 @@ def test_store_combine_loads_no_tracer_or_pool():
     assert _loaded(modules, ("repro.lang", "repro.pytrace",
                              "repro.core.tracker", "repro.serve",
                              "multiprocessing", "concurrent.futures")) == []
+
+
+def test_storeless_batch_frontend_loads_no_store():
+    # A batch without --store never opens one, so it never imports it.
+    modules = _modules_after("from repro.batch import measure_program_runs")
+    assert "repro.batch.runs" in modules
+    assert _loaded(modules, ("repro.store", "repro.durable")) == []
 
 
 def test_pytrace_loads_no_store_batch_lang_or_exporter():

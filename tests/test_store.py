@@ -12,9 +12,12 @@ import zlib
 import pytest
 
 from repro import obs
+from repro import store as store_module
 from repro.errors import GraphError, StoreError
 from repro.graph.flowgraph import INF, EdgeLabel, FlowGraph
-from repro.graph.serialize import dumps_graph, graph_digest, load_graph
+from repro.graph.serialize import (dumps_graph, graph_digest, load_graph,
+                                   text_digest)
+from repro.obs.log import NullEventLog
 from repro.store import ShardStore
 
 # The documented pack record header, restated here so the tests check
@@ -129,6 +132,19 @@ def put_objects(root, capacities, start):
     store.close()
 
 
+def count_hashes(monkeypatch):
+    """Make ``repro.store``'s ``text_digest`` record every text it
+    hashes in the returned list."""
+    hashed = []
+
+    def counting(text):
+        hashed.append(text)
+        return text_digest(text)
+
+    monkeypatch.setattr(store_module, "text_digest", counting)
+    return hashed
+
+
 class TestPut:
     def test_put_is_content_addressed(self, tmp_path):
         store = ShardStore(tmp_path / "store")
@@ -164,10 +180,47 @@ class TestPut:
 
     def test_put_text_rejects_corrupt_text(self, tmp_path):
         store = ShardStore(tmp_path / "store")
-        with pytest.raises(GraphError):
-            store.put_text("flowgraph-v1\nnonsense record\n")
+        # Rejected on every attempt: a failed put memoises nothing.
+        for _ in range(2):
+            with pytest.raises(GraphError):
+                store.put_text("flowgraph-v1\nnonsense record\n")
         # The failed put left no manifest entry behind.
         assert len(store) == 0
+
+    def test_repeated_text_is_hashed_once(self, tmp_path, monkeypatch):
+        hashed = count_hashes(monkeypatch)
+        store = ShardStore(tmp_path / "store")
+        graph = make_graph()
+        text = dumps_graph(graph)
+        digest = store.put(graph)
+        assert hashed == [text]
+        fresh = "".join(list(text))
+        assert fresh == text and fresh is not text
+        for put in (lambda: store.put(graph), lambda: store.put_text(text),
+                    lambda: store.put_text(fresh),
+                    lambda: store.put_object(graph),
+                    lambda: store.put_object_text(text),
+                    lambda: store.put_object_text(fresh)):
+            assert put() == digest
+        assert hashed == [text]
+        assert store.order() == [digest] * 4
+        assert [d for _, d, _, _ in pack_records(tmp_path / "store")] == \
+            [digest]
+
+    def test_reopened_store_hashes_each_known_text_once(self, tmp_path,
+                                                        monkeypatch):
+        root = tmp_path / "store"
+        texts = [dumps_graph(make_graph(c)) for c in (1, 2)]
+        with ShardStore(root) as store:
+            digests = [store.put_text(text) for text in texts]
+        hashed = count_hashes(monkeypatch)
+        store = ShardStore(root, create=False)
+        for text in texts * 3:
+            store.put_text(text)
+        assert sorted(hashed) == sorted(texts)
+        assert store.multiplicities() == [(d, 4) for d in digests]
+        assert len(pack_records(root)) == 2
+        store.close()
 
     def test_put_object_skips_manifest(self, tmp_path):
         store = ShardStore(tmp_path / "store")
@@ -564,6 +617,51 @@ class TestMetrics:
         assert snapshot["store.shards_written"] == 3
         assert snapshot["store.dedup_hits"] == 1
         assert snapshot["store.bytes"] > 0
+
+    def test_every_hit_records_one_dedup_event(self, tmp_path):
+        root = tmp_path / "store"
+        g1, g2 = make_graph(1), make_graph(2)
+        text = dumps_graph(g1)
+        obs.enable()
+        log = obs.enable_events()
+        try:
+            store = ShardStore(root)
+            d1, d2 = store.put(g1), store.put(g2)
+            store.put(g1), store.put_text("".join(list(text)))
+            store.put_object(g2), store.put_object_text(text)
+            # A second instance hits through the index, not its memo.
+            with ShardStore(root, create=False) as other:
+                other.put(g1)
+            store.close()
+            events = log.snapshot()
+            snapshot = obs.get_metrics().snapshot()
+        finally:
+            obs.disable_events()
+            obs.disable()
+        assert [(e["event"], e["digest"]) for e in events] == \
+            [("store.dedup", d) for d in (d1, d1, d2, d1, d1)]
+        assert snapshot["store.dedup_hits"] == 5
+        assert snapshot["store.shards_written"] == 2
+
+    def test_disabled_event_log_is_never_called_on_a_hit(self, tmp_path):
+        class RaisingLog(NullEventLog):
+            def event(self, name, **fields):
+                raise AssertionError("disabled event log called: %s" % name)
+
+        store = ShardStore(tmp_path / "store")
+        graph = make_graph()
+        text = dumps_graph(graph)
+        store.put(graph)
+        previous = obs.set_event_log(RaisingLog())
+        try:
+            store.put(graph), store.put_text(text)
+            store.put_object(graph), store.put_object_text(text)
+            with ShardStore(tmp_path / "store", create=False) as other:
+                other.put_text(text)
+        finally:
+            obs.set_event_log(previous)
+        assert len(store) == 3 and store.distinct == 1
+        store.close()
 
 
 def random_graph(rng):
