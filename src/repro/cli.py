@@ -41,7 +41,7 @@ import sys
 import threading
 
 from . import obs
-from .core.measure import MULTI_RUN_COLLAPSE_MODES
+from .core.modes import MULTI_RUN_COLLAPSE_MODES
 from .core.policy import CutPolicy
 from .errors import PolicyViolation, ReproError
 

@@ -15,8 +15,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".regions": ("DeclaredOutput", "RegionWriteChecker"),
     ".lazyranges": ("LazyRangeTable", "MAX_DESCRIPTORS", "MAX_EXCEPTIONS",
                     "MIN_RANGE", "RangeDescriptor"),
-    ".measure": ("COLLAPSE_MODES", "MULTI_RUN_COLLAPSE_MODES",
-                 "measure_graph", "measure_runs"),
+    ".modes": ("COLLAPSE_MODES", "MULTI_RUN_COLLAPSE_MODES"),
+    ".measure": ("measure_graph", "measure_runs"),
     ".multisecret": ("CategoryBounds", "measure_by_category"),
     ".combine": ("IncrementalKraft", "StreamingCombiner", "code_lengths_for",
                  "demonstrate_inconsistency", "kraft_satisfied", "kraft_sum"),

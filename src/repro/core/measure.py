@@ -23,16 +23,9 @@ from .. import obs
 from ..graph.collapse import CollapseStats, collapse_graphs
 from ..graph.maxflow import dinic_max_flow
 from ..graph.mincut import min_cut_from_residual
+from .modes import COLLAPSE_MODES, MULTI_RUN_COLLAPSE_MODES
 from .report import FlowReport
 
-#: Collapse modes: ``"none"`` solves the raw per-value graph,
-#: ``"context"`` merges edges by (location, calling-context hash),
-#: ``"location"`` merges by location only (smallest graph).
-COLLAPSE_MODES = ("none", "context", "location")
-
-#: Collapse modes that can combine several runs: merging the runs'
-#: graphs needs a merge key, which ``"none"`` does not have.
-MULTI_RUN_COLLAPSE_MODES = ("context", "location")
 
 def _publish(metrics, solved, value, cut):
     """Record the result gauges of one measurement.

@@ -497,12 +497,13 @@ class TraceBuilder:
 class _OpSite:
     """Fast-backend cache entry for one operation site.
 
-    Holds the site's interned labels, its collapsed value pair, and the
-    two buckets repeats accumulate into.
+    Holds the site's interned labels, its collapsed value pair, the
+    two buckets repeats accumulate into, and the site's result
+    provenances.
     """
 
     __slots__ = ("value_label", "data_label", "pair", "pair_edge",
-                 "data_edge", "merged")
+                 "data_edge", "merged", "provs")
 
     def __init__(self, value_label, data_label):
         self.value_label = value_label
@@ -513,6 +514,10 @@ class _OpSite:
         #: operand node ids already folded into the data bucket's tail
         #: class (classes never split, so membership is permanent)
         self.merged = set()
+        #: result mask -> the shared ``Provenance(mask, outer)``; the
+        #: outer node is fixed per site and no code mutates a
+        #: Provenance, so every result with that mask can share one
+        self.provs = {}
 
 
 class CollapsingTraceBuilder(TraceBuilder):
@@ -715,7 +720,10 @@ class CollapsingTraceBuilder(TraceBuilder):
             raise TraceError(
                 "operation at %s produced secret mask %#x from public operands"
                 % (location, result_mask))
-        return Provenance(result_mask, outer)
+        prov = site.provs.get(result_mask)
+        if prov is None:
+            prov = site.provs[result_mask] = Provenance(result_mask, outer)
+        return prov
 
     # -- bulk events ---------------------------------------------------
 

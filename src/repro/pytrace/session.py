@@ -30,7 +30,8 @@ from ..errors import TraceError
 from ..graph.flowgraph import INF
 from ..shadow import resolve_backend, transfer
 from ..shadow.bitmask import width_mask
-from .values import SecretInt, _WidthInt, concrete_of, mask_of, width_of
+from .values import (SecretInt, _tracked, _WidthInt, concrete_of, mask_of,
+                     width_of)
 
 #: Fast-backend binary evaluators: one closure per op instead of the
 #: :meth:`Session._eval` string-comparison chain.  Each computes exactly
@@ -254,6 +255,9 @@ class Session:
         self.backend = resolve_backend(backend)
         self._location_sites = {}
         self._fused_sites = {}
+        #: (code id, offset, op, ctx) -> the tracker's _OpSite, when
+        #: binary ops are fused (see _binary_op_fast); else None
+        self._fused_ops = None
         if self.backend == "fast":
             # Bound-method swap: callers (SecretInt dunders, user code)
             # keep identical call depths, so location derivation is
@@ -277,6 +281,8 @@ class Session:
                 if interceptor is None:
                     self.branch_on = (self._branch_on_fused if fused
                                       else self._branch_on_fast)
+                    if fused:
+                        self._fused_ops = {}
         self.outputs = []
         self._locations = {}
         self._finished = False
@@ -365,8 +371,10 @@ class Session:
         if metrics.enabled:
             metrics.incr("shadow.fast.batch_ops")
             metrics.incr("shadow.fast.batch_values", len(provs))
+        # ``& 0xFF`` is SecretInt.__init__'s value masking (a no-op on
+        # bytes); each mask is the 8-bit width mask or a subset of it.
         return [byte if prov.mask == 0
-                else SecretInt(self, byte, 8, prov.mask, prov)
+                else _tracked(self, byte & 0xFF, 8, prov.mask, prov)
                 for byte, prov in zip(data, provs)]
 
     def public(self, value):
@@ -462,6 +470,16 @@ class Session:
         when both operands are public (it returns 0 there), and
         skipping result-width computation for comparisons (their
         result is 1-bit, and ``transfer_compare`` ignores the width).
+
+        With a fast collapsing tracker and no interceptor, a repeated
+        secret op is fused: one probe of ``_fused_ops`` by code site, op
+        and context finds the tracker's ``_OpSite``.  When its buckets
+        and its provenance for the result mask exist and every secret
+        operand's class is already folded into the data bucket,
+        ``_operation_fast``'s repeat arithmetic runs inline (same
+        counters, per-step INF saturation, operands in order) and the
+        result shares that provenance.  Anything else takes the
+        tracker path and then records the site.
         """
         if reflected:
             a, b = b, a
@@ -478,7 +496,7 @@ class Session:
             bv, bm = int(b), 0
         pair = _CMP_PAIRS.get(op)
         if pair is not None:
-            width = 1
+            width = w = 1
             value = int(pair[0](av, bv))
             mask = (pair[1](av, am, bv, bm, 1) & 1) if am or bm else 0
         else:
@@ -489,26 +507,62 @@ class Session:
             w = width_mask(width)
             value = pair[0](av, bv, w)
             mask = (pair[1](av, am, bv, bm, width) & w) if am or bm else 0
-        if am == 0 and bm == 0 and self.interceptor is None:
+        if mask == 0 and self.interceptor is None:
             return value
-        # Inline _caller_location_fast (same frame as the reference's
-        # ``_caller_location(3, op)`` resolves: the operator dunder).
+        # Same frame as the reference's ``_caller_location(3, op)``
+        # resolves: the operator dunder.
         frame = sys._getframe(2)
+        sites = self._fused_ops
+        if sites is not None:
+            tracker = self.tracker
+            key = (id(frame.f_code), frame.f_lasti, op, tracker._active_ctx)
+            site = sites.get(key)
+            if site is not None and not tracker._finished:
+                merged = site.merged
+                pa = a.prov if sa else None
+                pb = b.prov if sb else None
+                prov = site.provs.get(mask)
+                if (prov is not None
+                        and (pa is None or (pa.mask and pa.node in merged))
+                        and (pb is None or (pb.mask and pb.node in merged))):
+                    edges = 1 + sa + sb
+                    tracker._operation_events += 1
+                    tracker._virtual_nodes += 2
+                    tracker._virtual_edges += edges
+                    tracker._collapser.merge_hits += edges
+                    edge = site.pair_edge
+                    cap, bits = edge.capacity, mask.bit_count()
+                    edge.capacity = (INF if cap >= INF or bits >= INF
+                                     else cap + bits)
+                    edge = site.data_edge
+                    for operand in (pa, pb):
+                        if operand is not None:
+                            cap = edge.capacity
+                            bits = operand.mask.bit_count()
+                            edge.capacity = (INF if cap >= INF or bits >= INF
+                                             else cap + bits)
+                    # ``& w`` as in SecretInt.__init__: "and"/"shr" of a
+                    # negative public operand can exceed the width.
+                    return _tracked(self, value & w, width, mask, prov)
+        # Inline _caller_location_fast.
         site = (frame.f_code, frame.f_lasti, op)
         loc = self._location_sites.get(site)
         if loc is None:
             loc = Location(frame.f_code.co_filename.rsplit("/", 1)[-1],
                            frame.f_lineno, op)
             self._location_sites[site] = loc
-        if mask == 0:
-            if self.interceptor is not None:
-                value = self.intercept_value(loc, value, width)
-            return value
+        if mask == 0:  # public result; only reached with an interceptor
+            return self.intercept_value(loc, value, width)
         if sa:
             operands = [a.prov, b.prov] if sb else [a.prov]
         else:
             operands = [b.prov] if sb else []
         prov = self.tracker.operation(loc, mask, operands)
+        if sites is not None:
+            # Pinning: the location lookup above keyed _location_sites
+            # by this code object, so its id stays unique while the
+            # session (and so this entry) lives.
+            sites[key] = tracker._op_cache[(loc, tracker._active_ctx)]
         if prov.mask == 0:
             return value  # declassified at a cut (checking mode)
         return SecretInt(self, value, width, mask, prov)
@@ -623,7 +677,12 @@ class Session:
     # hit path (bit-identical: same counters, same INF saturation);
     # anything else falls back to the tracker method.  The bodies are
     # duplicated rather than shared -- a helper would re-add the call
-    # frame these exist to remove.
+    # frame these exist to remove.  Fused keys (these and
+    # ``_fused_ops``) hold ``id(frame.f_code)``, not the code object,
+    # whose hash CPython recomputes on every lookup.  The cold path
+    # resolves the location first, which keys ``_location_sites`` by
+    # the code object itself and so pins it for the session's lifetime:
+    # an id cannot be reused while an entry holding it exists.
 
     def _branch_on_fused(self, secret):
         if secret.mask == 0:
@@ -635,7 +694,7 @@ class Session:
         regions = tracker._regions
         region = regions[-1] if regions else None
         target = region.node if region is not None else tracker._pending
-        key = (frame.f_code, frame.f_lasti, prov.node, target,
+        key = (id(frame.f_code), frame.f_lasti, prov.node, target,
                tracker._active_ctx)
         entry = self._fused_sites.get(key)
         if entry is not None and not tracker._finished:
@@ -659,11 +718,11 @@ class Session:
         regions = tracker._regions
         region = regions[-1] if regions else None
         target = region.node if region is not None else tracker._pending
-        key = (frame.f_code, frame.f_lasti, prov.node, target,
+        key = (id(frame.f_code), frame.f_lasti, prov.node, target,
                tracker._active_ctx)
         entry = self._fused_sites.get(key)
         if entry is not None and not tracker._finished:
-            bits = prov.bits
+            bits = prov.mask.bit_count()  # prov.bits, without the property
             tracker._implicit_events += 1
             tracker._virtual_edges += 1
             tracker._collapser.merge_hits += 1

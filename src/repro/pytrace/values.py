@@ -195,6 +195,19 @@ class SecretInt:
         raise TypeError("a SecretInt cannot be pickled or copied")
 
 
+def _tracked(session, value, width, mask, prov):
+    """``SecretInt(session, value, width, mask, prov)`` for a ``value``
+    and ``mask`` that ``width`` already bounds: the same object without
+    ``__init__``'s re-masking (for the session's fast paths)."""
+    result = object.__new__(SecretInt)
+    result.session = session
+    result.value = value
+    result.width = width
+    result.mask = mask
+    result.prov = prov
+    return result
+
+
 def concrete_of(value):
     """The plain int behind either a SecretInt or an int."""
     if isinstance(value, SecretInt):

@@ -27,6 +27,7 @@ from repro.graph.flowgraph import INF
 from repro.graph.serialize import dump_graph
 from repro.lang import measure as lang_measure
 from repro.lang import measure_many
+from repro.lang.runner import compile_source, execute
 from repro.lang.vm import NullTracker
 from repro.errors import TraceError
 from repro.pytrace import SecretInt, Session
@@ -584,3 +585,193 @@ class TestWrapAllEqualsWrap:
                 region.wrap_all([1, 2])
             with pytest.raises(TraceError):
                 region.wrap(1)
+
+
+# ----------------------------------------------------------------------
+# Fused binary ops: a repeated secret op on a fast collapsing session
+# runs the tracker's repeat arithmetic inline.  Its oracle is the same
+# session over the generic collapsing tracker, whose ops go through
+# ``_binary_op_fast`` and ``TraceBuilder.operation``.
+
+
+def fused_session(mode, fused):
+    if fused:
+        session = Session(online_collapse=mode, backend="fast")
+        assert session._fused_ops is not None
+    else:
+        session = Session(tracker=CollapsingTraceBuilder(
+            context_sensitive=mode == "context", backend="reference"),
+            backend="fast")
+        assert session._fused_ops is None
+    return session
+
+
+def count_operations(tracker):
+    """Record the location of every ``tracker.operation`` call."""
+    calls = []
+    operation = tracker.operation
+
+    def counted(location, result_mask, operands):
+        calls.append(location)
+        return operation(location, result_mask, operands)
+
+    tracker.operation = counted
+    return calls
+
+
+def tracker_state(tracker):
+    """Everything a fused op may not change, graph included."""
+    graph = tracker.graph
+    return (graph_text(graph), [edge.capacity for edge in graph.edges],
+            tracker.stats, tracker._collapser.merge_hits,
+            tracker._operation_events, tracker._virtual_nodes,
+            tracker._virtual_edges)
+
+
+def fused_stream(session, near_inf=None):
+    """Repeated secret ops of every shape, each round with an operand
+    class the op sites have not folded yet; ``near_inf`` sets every
+    bucket that far below INF after the first round."""
+    tracker = session.tracker
+    xs = session.secret_bytes(b"\x03\x05\x07\x03\xf0", name="xs")
+    z = session.secret_int(0x1234, width=16, name="z")
+    table = list(range(256))
+    seen, states = [], []
+    for round_ in range(4):
+        y = session.secret_int(9 + round_, name="y%d" % round_)
+        for x in xs:
+            seen.append(x == xs[0])          # two secret operands
+            seen.append(x + y)               # y: a new class per round
+            seen.append(3 - x)               # reflected, secret-public
+            seen.append(x < 4)               # secret-public compare
+            seen.append((x & 0x0F) * y)      # an op result as operand
+            seen.append(x ^ z)
+            table[x]
+            if x == xs[0]:
+                seen.append(x | 0x40)
+            with session.scope("inner"):     # a context switch
+                seen.append(x * 3)
+        with session.enclose("region") as region:
+            v = xs[1] + y
+            if v > 10:
+                seen.append(v - 1)
+        seen.append(region.wrap(v, name="v"))
+        if near_inf is not None and round_ == 0:
+            for bucket in tracker._collapser._buckets.values():
+                bucket.capacity = INF - near_inf
+        states.append(tracker_state(tracker))
+    seen = [describe(value) for value in seen]
+    graph = session.finish()
+    return (seen, states, graph_text(graph),
+            [edge.capacity for edge in graph.edges], tracker.stats)
+
+
+class TestFusedBinaryOp:
+    @pytest.mark.parametrize("near_inf", [None, 1, 9, 40])
+    @pytest.mark.parametrize("mode", ["context", "location"])
+    def test_matches_generic_tracker(self, mode, near_inf):
+        fused = fused_session(mode, fused=True)
+        calls = count_operations(fused.tracker)
+        observed = fused_stream(fused, near_inf)
+        assert observed == fused_stream(fused_session(mode, fused=False),
+                                        near_inf)
+        # Most ops were fused: only first occurrences and new operand
+        # classes reached the tracker.
+        assert 0 < len(calls) < fused.tracker._operation_events // 4
+
+    @pytest.mark.parametrize("mode", ["context", "location"])
+    def test_matches_reference_session(self, mode):
+        # Same graph text as the reference backend, so the fused op
+        # resolves the reference's Location.
+        reference = Session(online_collapse=mode, backend="reference")
+        assert fused_stream(fused_session(mode, fused=True))[2:] == \
+            fused_stream(reference)[2:]
+
+    def test_first_occurrence_and_new_class_take_the_tracker_path(self):
+        session = fused_session("location", fused=True)
+        calls = count_operations(session.tracker)
+        x, = session.secret_bytes(b"\x05", name="x")
+        y0 = session.secret_int(3, name="y0")
+        y1 = session.secret_int(4, name="y1")
+        for y, expected in ((y0, 1), (y0, 1), (y0, 1), (y1, 2), (y1, 2),
+                            (y0, 2)):
+            x ^ y
+            assert len(calls) == expected
+
+    def test_location_is_the_operator_dunder(self):
+        # A Python-frontend op is labelled with the SecretInt dunder's
+        # line, exactly as the reference resolves it.
+        session = fused_session("location", fused=True)
+        x, y = session.secret_bytes(b"\x05\x06")
+        for _ in range(3):
+            x == y
+        line = SecretInt.__eq__.__code__.co_firstlineno + 1
+        ops = {str(edge.label.location) for edge in session.finish().edges
+               if edge.label is not None and edge.label.kind == "data"}
+        assert ops == {str(Location("values.py", line, "eq"))}
+
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_event_after_finish_raises(self, fused):
+        session = fused_session("location", fused)
+        x, y = session.secret_bytes(b"\x05\x06")
+        for _ in range(3):
+            x == y
+        session.finish()
+        with pytest.raises(TraceError):
+            x == y
+
+    def test_repeats_share_one_provenance(self):
+        session = fused_session("location", fused=True)
+        x, y = session.secret_bytes(b"\x05\x06")
+        results = [x ^ y for _ in range(4)]
+        assert len({id(r.prov) for r in results}) == 1
+        assert len({id(r) for r in results}) == 4
+
+    def test_repeated_vm_op_returns_one_interned_provenance(self):
+        tracker = CollapsingTraceBuilder(backend="fast")
+        returned = {}
+        operation = tracker.operation
+
+        def recording(location, result_mask, operands):
+            prov = operation(location, result_mask, operands)
+            returned.setdefault((location, result_mask), []).append(prov)
+            return prov
+
+        tracker.operation = recording
+        execute(compile_source(MIXED_OPS), secret_input=random_secret(7),
+                tracker=tracker, backend="fast")
+        assert max(len(provs) for provs in returned.values()) > 1
+        for provs in returned.values():
+            assert all(prov is provs[0] for prov in provs)
+
+
+RECYCLED_SOURCE = """
+def probe(data, table):
+    for x in data:
+        table[x]
+        if x == data[0]:
+            pass
+"""
+
+
+@pytest.mark.parametrize("mode", ["context", "location"])
+def test_recycled_code_ids_keep_their_own_sites(mode):
+    # Each source differs only in its first line, so every code object
+    # has the same size and CPython tends to hand a dropped one's
+    # address (its id) to the next.  The fused index and branch sites
+    # key on that id; the session pins each keyed code object, so no
+    # site is charged to a dead one's line.
+    graphs = {}
+    for backend in ("reference", "fast"):
+        session = Session(online_collapse=mode, backend=backend)
+        data = session.secret_bytes(b"\x01\x02\x01\x04", name="data")
+        table = list(range(256))
+        for line in range(12):
+            namespace = {}
+            exec(compile("\n" * line + RECYCLED_SOURCE, "recycled.py",
+                         "exec"), namespace)
+            namespace["probe"](data, table)
+            namespace.clear()  # frees the code: nothing else holds it
+        graphs[backend] = graph_text(session.finish())
+    assert graphs["fast"] == graphs["reference"]
+    assert graphs["fast"].count("recycled.py") >= 24

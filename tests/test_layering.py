@@ -87,21 +87,25 @@ def _run(*args):
                           capture_output=True, text=True, check=True)
 
 
-def _imported(*args):
-    """Every module a fresh interpreter imports while running ``args``
-    (read from ``-X importtime``, so ``-m`` entry points count too)."""
-    out = _run("-X", "importtime", *args)
-    return {line.rsplit("|", 1)[1].strip()
-            for line in out.stderr.splitlines()
-            if line.startswith("import time:")}
-
-
 def _modules_after(code):
-    """``sys.modules`` of a fresh interpreter after running ``code``.
-    Unlike ``-X importtime`` it lists the submodules that a lazy
-    package name loads through ``importlib.import_module``."""
+    """``sys.modules`` of a fresh interpreter after running ``code``
+    (printed as its last stdout line).  Unlike ``-X importtime`` it
+    lists the submodules that a lazy package name loads through
+    ``importlib.import_module``."""
     return set(_run("-c", code + "\nimport sys\nprint(*sys.modules)")
-               .stdout.split())
+               .stdout.splitlines()[-1].split())
+
+
+def _modules_after_cli(*argv):
+    """``sys.modules`` after ``python -m repro *argv``, run through
+    ``runpy`` in the child so the module table can be read after it."""
+    return _modules_after(
+        "import runpy, sys\n"
+        "sys.argv = ['repro', %s]\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit:\n"
+        "    pass" % ", ".join(repr(arg) for arg in argv))
 
 
 def _loaded(modules, packages):
@@ -110,13 +114,13 @@ def _loaded(modules, packages):
 
 
 def test_importing_lower_layers_leaves_batch_unloaded():
-    assert _loaded(_imported("-c", "import repro.graph, repro.core"),
+    assert _loaded(_modules_after("import repro.graph, repro.core"),
                    UPPER) == []
 
 
 def test_store_combine_loads_no_tracer_or_pool():
-    modules = _imported("-c", "import repro.store; "
-                        "from repro.batch.runs import combine_store_jobs")
+    modules = _modules_after("import repro.store; "
+                             "from repro.batch.runs import combine_store_jobs")
     assert "repro.batch.runs" in modules
     assert _loaded(modules, ("repro.lang", "repro.pytrace",
                              "repro.core.tracker", "repro.serve",
@@ -131,16 +135,25 @@ def test_storeless_batch_frontend_loads_no_store():
 
 
 def test_pytrace_loads_no_store_batch_lang_or_exporter():
-    modules = _imported("-c", "import repro.pytrace")
+    modules = _modules_after("import repro.pytrace")
     assert "repro.pytrace.session" in modules
     assert _loaded(modules, ("repro.store", "repro.batch", "repro.lang",
                              "repro.obs.export")) == []
 
 
 def test_measure_help_loads_no_upper_layer():
-    modules = _imported("-m", "repro", "measure", "--help")
+    modules = _modules_after_cli("measure", "--help")
     assert "repro.cli" in modules
     assert _loaded(modules, UPPER) == []
+
+
+def test_measure_help_loads_no_measurement_pipeline():
+    # The parser's --collapse choices come from repro.core.modes, so
+    # --help never loads the solver.
+    modules = _modules_after_cli("measure", "--help")
+    assert "repro.cli" in modules
+    assert _loaded(modules, ("repro.core.measure",
+                             "repro.graph.maxflow")) == []
 
 
 def _package_sources():
