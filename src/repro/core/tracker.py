@@ -494,16 +494,43 @@ class TraceBuilder:
         }
 
 
+def _repeat_adds(cap, adds, n):
+    """A bucket's capacity after ``n`` events that each add ``adds``.
+
+    The per-step rule is :meth:`_OnlineEdge.add_capacity`'s: ``INF if
+    cap >= INF or bits >= INF else cap + bits``, the ``adds`` of each
+    event in order.  While the total stays below INF that is a plain
+    sum.  Otherwise whole events are added in bulk while they keep the
+    capacity below INF and the rest is replayed step by step, so an
+    overshoot past INF snaps to INF on the next add, as the tracker
+    does (``graph.collapse._add_repeated`` freezes at the overshoot).
+    """
+    step = sum(adds)
+    total = cap + n * step
+    if total < INF:
+        return total
+    if cap < INF:
+        whole = min(n, (INF - 1 - cap) // step)
+        cap += whole * step
+        n -= whole
+    for _ in range(n):
+        for bits in adds:
+            cap = INF if cap >= INF or bits >= INF else cap + bits
+        if cap == INF:
+            break
+    return cap
+
+
 class _OpSite:
     """Fast-backend cache entry for one operation site.
 
     Holds the site's interned labels, its collapsed value pair, the
-    two buckets repeats accumulate into, and the site's result
-    provenances.
+    two buckets repeats accumulate into, the site's result
+    provenances, and the one binding of it that has unsettled counts.
     """
 
     __slots__ = ("value_label", "data_label", "pair", "pair_edge",
-                 "data_edge", "merged", "provs")
+                 "data_edge", "merged", "provs", "pending")
 
     def __init__(self, value_label, data_label):
         self.value_label = value_label
@@ -518,6 +545,65 @@ class _OpSite:
         #: outer node is fixed per site and no code mutates a
         #: Provenance, so every result with that mask can share one
         self.provs = {}
+        self.pending = None
+
+
+class _OpBinding:
+    """A bound operation site: the result mask and the operands it was
+    bound for, the result's interned provenance, the bits each repeat
+    adds to the data bucket, and ``n``, the repeats not yet settled."""
+
+    __slots__ = ("site", "merged", "mask", "a", "b", "prov", "adds", "n")
+
+    def __init__(self, site, mask, a, b, adds):
+        self.site = site
+        self.merged = site.merged
+        self.mask = mask
+        self.a = a
+        self.b = b
+        self.prov = site.provs[mask]
+        self.adds = adds
+        self.n = 0
+
+    def settle(self, tracker, n):
+        """Apply ``n`` repeats: exactly what ``n`` ``_operation_fast``
+        calls with the bound mask and operands would have done."""
+        site = self.site
+        site.pending = None
+        adds = self.adds
+        edges = n * (1 + len(adds))
+        tracker._operation_events += n
+        tracker._virtual_nodes += 2 * n
+        tracker._virtual_edges += edges
+        tracker._collapser.merge_hits += edges
+        edge = site.pair_edge
+        edge.capacity = _repeat_adds(edge.capacity,
+                                     (self.mask.bit_count(),), n)
+        edge = site.data_edge
+        edge.capacity = _repeat_adds(edge.capacity, adds, n)
+
+
+class _FlowSite:
+    """A bound implicit-flow site: its bucket, the region that was
+    current when it was bound, its bits per event and its count."""
+
+    __slots__ = ("edge", "region", "bits", "n")
+
+    def __init__(self, edge, region, bits):
+        self.edge = edge
+        self.region = region
+        self.bits = bits
+        self.n = 0
+
+    def settle(self, tracker, n):
+        """Apply ``n`` repeats of the bound implicit flow."""
+        tracker._implicit_events += n
+        tracker._virtual_edges += n
+        tracker._collapser.merge_hits += n
+        if self.region is not None:
+            self.region.bits += n * self.bits
+        edge = self.edge
+        edge.capacity = _repeat_adds(edge.capacity, (self.bits,), n)
 
 
 class CollapsingTraceBuilder(TraceBuilder):
@@ -557,7 +643,8 @@ class CollapsingTraceBuilder(TraceBuilder):
             generic bucket machinery; ``"fast"`` adds per-site caches
             that turn exact event repeats (the common case in loops)
             into capacity arithmetic, skipping label interning and
-            union-find work that is provably a no-op.  ``None``/
+            union-find work that is provably a no-op, and a table of
+            bound sites whose repeats a frontend only counts.  ``None``/
             ``"auto"`` consult ``REPRO_BACKEND``, then ``"fast"``.
             Both backends are bit-identical (see ``docs/backends.md``
             and the equivalence suite).
@@ -569,6 +656,16 @@ class CollapsingTraceBuilder(TraceBuilder):
         self._implicit_cache = {}
         #: (location, ctx) -> _OpSite
         self._op_cache = {}
+        #: The bound-site table: a frontend's site key -> the
+        #: _OpBinding or _FlowSite whose repeats only count (see "bound
+        #: sites" below).
+        self._bound = {}
+        #: bound sites whose count is not yet settled
+        self._dirty = []
+        #: keys of the bound _FlowSites, dropped when the target changes
+        self._flow_keys = []
+        #: implicit bucket -> the bits per event of its bound _FlowSites
+        self._flow_bits = {}
         super().__init__(context_sensitive=context_sensitive)
         if self._fast:
             # Bound as instance attributes so the per-event dispatch is
@@ -632,6 +729,8 @@ class CollapsingTraceBuilder(TraceBuilder):
     # The equivalence suite checks the result is bit-identical.
 
     def _implicit_flow_fast(self, location, provenance, bits):
+        if self._dirty:
+            self._settle()
         if self._finished:
             raise TraceError("trace already finished")
         node = provenance.node
@@ -664,6 +763,8 @@ class CollapsingTraceBuilder(TraceBuilder):
             node, target, bits, self._label(location, "implicit"))
 
     def _operation_fast(self, location, result_mask, operands):
+        if self._dirty:
+            self._settle()
         if self._finished:
             raise TraceError("trace already finished")
         self._operation_events += 1
@@ -724,6 +825,133 @@ class CollapsingTraceBuilder(TraceBuilder):
         if prov is None:
             prov = site.provs[result_mask] = Provenance(result_mask, outer)
         return prov
+
+    # -- bound sites ----------------------------------------------------
+    #
+    # A frontend reports a site's event, binds a key of its own to it
+    # (bind_operation / bind_flow), and from then on a probe of
+    # ``_bound`` that matches is a hit, which only counts:
+    # ``if not record.n:`` register it (``_pend`` for an _OpBinding,
+    # ``_dirty.append`` for a _FlowSite), then ``record.n += 1``.
+    # ``_settle`` folds the counts in before any other method reads or
+    # writes the state.  Flow keys leave the target out, so flow records
+    # are dropped whenever it changes (an output, a region entry or
+    # exit); every record is dropped at finish.  Past INF the order of
+    # a bucket's adds matters, so no bucket holds counts of two add
+    # patterns: ``_pend`` settles before a second binding of an op site
+    # counts, and flow records sharing a bucket add the same bits.  The
+    # contract is in docs/backends.md ("Bound sites").
+
+    def _check_live(self):
+        if self._dirty:
+            self._settle()
+        if self._finished:
+            raise TraceError("trace already finished")
+
+    def _settle(self):
+        dirty = self._dirty
+        for record in dirty:
+            n = record.n
+            record.n = 0
+            record.settle(self, n)
+        dirty.clear()
+
+    def _drop_flows(self):
+        if self._flow_keys:
+            bound = self._bound
+            for key in self._flow_keys:
+                bound.pop(key, None)
+            self._flow_keys.clear()
+            self._flow_bits.clear()
+
+    def _pend(self, binding):
+        """An op binding's first repeat since the last settle.
+
+        At most one binding of a site has counts, so that the order of
+        the repeats each of the site's buckets receives is known.
+        """
+        if binding.site.pending is not None:
+            self._settle()
+        binding.site.pending = binding
+        self._dirty.append(binding)
+
+    def bind_operation(self, key, location, mask, a, b):
+        """Bind ``key`` to the operation just reported at ``location``.
+
+        ``a`` and ``b`` are its operand provenances (``PUBLIC`` for a
+        public one).  A later probe that finds the binding and the same
+        operands -- the same objects, or each secret one with the same
+        mask and its class folded into ``binding.merged`` -- is a hit:
+        the operation's repeat, whose result is ``binding.prov``.  The
+        key or the probe must fix ``mask`` too.
+        """
+        if self._dirty:
+            self._settle()
+        site = self._op_cache.get((location, self._active_ctx))
+        if (site is None or site.data_edge is None or self._finished
+                or mask not in site.provs):
+            return
+        adds = []
+        for op in (a, b):
+            if op.node is not None and op.mask:
+                if op.node not in site.merged:
+                    return
+                adds.append(op.mask.bit_count())
+        if adds:
+            self._bound[key] = _OpBinding(site, mask, a, b, tuple(adds))
+
+    def bind_flow(self, key, location, provenance, bits):
+        """Bind ``key`` to the implicit flow just reported at ``location``.
+
+        A later probe that finds the key is a hit: a repeat of the flow
+        of ``bits`` bits from ``provenance``'s node into the current
+        target, so the key must fix the node and the bits.
+        """
+        if self._dirty:
+            self._settle()
+        node = provenance.node
+        if node is None or not bits or not provenance.mask or self._finished:
+            return
+        regions = self._regions
+        region = regions[-1] if regions else None
+        target = self._pending if region is None else region.node
+        collapser = self._collapser
+        edge = collapser.bucket_for(self._label(location, "implicit"))
+        find = collapser._uf.find
+        # A repeat is exact once both endpoints are in the bucket's
+        # classes: its merges are no-ops.
+        if (edge is None or target is None
+                or find(edge.tail) != find(node)
+                or find(edge.head) != find(target)
+                or self._flow_bits.setdefault(edge, bits) != bits):
+            return
+        self._bound[key] = _FlowSite(edge, region, bits)
+        self._flow_keys.append(key)
+
+    def enter_region(self, location):
+        super().enter_region(location)
+        self._drop_flows()
+
+    def leave_region(self, location):
+        exit_token = super().leave_region(location)
+        self._drop_flows()
+        return exit_token
+
+    def push_call(self, callsite_id):
+        if self._dirty:
+            self._settle()
+        super().push_call(callsite_id)
+
+    def pop_call(self):
+        if self._dirty:
+            self._settle()
+        super().pop_call()
+
+    @property
+    def stats(self):
+        if self._dirty:
+            self._settle()
+        return TraceBuilder.stats.fget(self)
 
     # -- bulk events ---------------------------------------------------
 
@@ -817,6 +1045,7 @@ class CollapsingTraceBuilder(TraceBuilder):
         the counters.  Capacities are added in element order.
         """
         self._check_live()
+        self._drop_flows()
         self._output_events += 1
         chain_label = self._label(location, "chain")
         event = self._g_head(self._pending, INF, chain_label)
@@ -869,6 +1098,8 @@ class CollapsingTraceBuilder(TraceBuilder):
         return self._collapser.peak_live_nodes
 
     def _materialize(self):
+        if self._dirty:
+            self._settle()
         span = obs.get_tracer().span("collapse.online.materialize",
                                      nodes_live=self._collapser.live_nodes,
                                      edges_live=self._collapser.live_edges)
@@ -882,6 +1113,9 @@ class CollapsingTraceBuilder(TraceBuilder):
         return graph
 
     def _result(self):
+        # Finished: every later event takes the generic path and raises.
+        self._drop_flows()
+        self._bound.clear()
         graph = self._materialize()
         # Collapsed-edge refs -> final edge indices (self-loops dropped).
         self.category_edges = {

@@ -19,12 +19,18 @@ LEAVE, HALT, DECLARR) get no block.
 
 What a block keeps of the interpreter's behaviour:
 
-* **Same tracker events, same order.**  Each instruction reports what
+* **Same tracker state at every read.**  Each instruction reports what
   the interpreter reports (``tracker.operation``, a secret branch's
   implicit flow, ``tracker.indexed``, the region-write notes after a
   store), with the same arguments, the same ``VMError`` text and the
   same location.  A secret branch calls ``implicit_flow(L, p, 1)``:
-  every tracker's ``branch(L, p)`` is exactly that.
+  every tracker's ``branch(L, p)`` is exactly that.  Under a fast
+  collapsing tracker (``vm._binder``) a secret BINOP or JZ first probes
+  the tracker's bound-site table by its instruction and context; a hit
+  only counts the repeat, and the tracker settles the counts before
+  anything reads or changes its state (:mod:`repro.core.tracker`,
+  "bound sites").  A miss reports the event as above and binds the
+  site (``VM._operation``, ``VM._branch``).
 * **Public work inline.**  The BINOPs in ``_INLINE_BINOPS`` are
   template arithmetic; the others call an evaluator from
   :func:`_compile_binop`.  An ALOAD reads ``values``, ``masks`` and
@@ -244,6 +250,29 @@ class _BlockWriter:
             self.emit("stack.append(%s)", value.whole())
         self.stack = []
 
+    def probe(self, pc, instr, key, test=""):
+        """Emit the probe of the bound-site table for one instruction's
+        tracker event (see :mod:`repro.core.tracker`, "bound sites").
+
+        The key is the instruction, then ``key``, then the context.
+        Returns the names of the binding tracker (``None`` when the VM
+        binds no site) and of the site found (false on a miss).
+        """
+        tracker = self.temp("t")
+        site = self.temp("s")
+        self.emit("    %s = vm._binder", tracker)
+        self.emit("    %s = %s%s and %s._bound.get((%s%s, %s._active_ctx))",
+                  site, test, tracker, tracker, self.bind("I", pc, instr),
+                  key, tracker)
+        return tracker, site
+
+    def count(self, first, site):
+        """Emit a hit on a bound site: it only counts.  ``first`` is
+        the call that registers the site's first count."""
+        self.emit("        if not %s.n:", site)
+        self.emit("            %s(%s)", first, site)
+        self.emit("        %s.n += 1", site)
+
     def note_write(self, key):
         self.emit("if vm._regions:")
         self.emit("    vm._note_write(%s)", key)
@@ -327,7 +356,6 @@ class _BlockWriter:
         result_width = 1 if name in transfer.COMPARISONS else width
         b = self.pop()
         a = self.pop()
-        loc = self.bind("L", pc, instr.loc)
         value = self.temp("x")
         template = _INLINE_BINOPS.get(name)
         if template is not None:
@@ -336,7 +364,7 @@ class _BlockWriter:
         else:
             self.emit("%s = %s(%s, %s, %s)", value,
                       self.bind("E", pc, _compile_binop(*instr.arg)),
-                      a.part(0), b.part(0), loc)
+                      a.part(0), b.part(0), self.bind("L", pc, instr.loc))
         secret = [m for m in (a.part(1), b.part(1)) if m != "0"]
         if not secret:
             self.stack.append(_Value(None, (value, "0", "PUBLIC")))
@@ -344,13 +372,24 @@ class _BlockWriter:
         mask = self.temp("m")
         prov = self.temp("p")
         self.emit("if %s:", " or ".join(secret))
-        self.emit("    %s = %s(%s, %s, %s, %s, %d) & %d", mask,
-                  self.bind("T", pc, transfer.BINARY[name]), a.part(0),
-                  a.part(1), b.part(0), b.part(1), width,
-                  width_mask(result_width))
-        self.emit("    %s = (vm.tracker.operation(%s, %s, [%s, %s]) if %s"
-                  " else PUBLIC)", prov, loc, mask, a.part(2), b.part(2),
-                  mask)
+        if name in transfer.COMPARISONS:
+            # transfer_compare is 1 whenever an operand is secret.
+            self.emit("    %s = 1", mask)
+            test = ""
+        else:
+            self.emit("    %s = %s(%s, %s, %s, %s, %d) & %d", mask,
+                      self.bind("T", pc, transfer.BINARY[name]), a.part(0),
+                      a.part(1), b.part(0), b.part(1), width,
+                      width_mask(result_width))
+            test = mask + " and "
+        tracker, site = self.probe(pc, instr, "", test)
+        self.emit("    if %s and %s.mask == %s and %s.a is %s and %s.b is %s:",
+                  site, site, mask, site, a.part(2), site, b.part(2))
+        self.count(tracker + "._pend", site)
+        self.emit("        %s = %s.prov", prov, site)
+        self.emit("    else:")
+        self.emit("        %s = vm._operation(%s, %s, %s, %s)", prov,
+                  self.bind("I", pc, instr), mask, a.part(2), b.part(2))
         self.emit("else:")
         self.emit("    %s = 0", mask)
         self.emit("    %s = PUBLIC", prov)
@@ -375,10 +414,12 @@ class _BlockWriter:
         cond = self.pop()
         if cond.part(1) != "0":
             self.emit("if %s:", cond.part(1))
-            # ``branch(L, p)`` is ``implicit_flow(L, p, bits_for_arms(2))``
-            # on every tracker, and two arms reveal one bit.
-            self.emit("    vm.tracker.implicit_flow(%s, %s, 1)",
-                      self.bind("L", pc, instr.loc), cond.part(2))
+            tracker, site = self.probe(pc, instr, ", %s.node" % cond.part(2))
+            self.emit("    if %s:", site)
+            self.count(tracker + "._dirty.append", site)
+            self.emit("    else:")
+            self.emit("        vm._branch(%s, %s)", self.bind("I", pc, instr),
+                      cond.part(2))
         self.flush()
         self.emit("if %s == 0:", cond.part(0))
         self.emit("    return %d", instr.arg)

@@ -21,7 +21,7 @@ import time
 from .. import obs
 from ..core.lazyranges import LazyRangeTable
 from ..core.regions import DeclaredOutput, RegionWriteChecker
-from ..core.tracker import PUBLIC, Provenance
+from ..core.tracker import PUBLIC, CollapsingTraceBuilder, Provenance
 from ..errors import VMError, VMTimeout
 from ..shadow import resolve_backend, transfer
 from ..shadow.bitmask import width_mask
@@ -207,6 +207,10 @@ class VM:
         self._public_pos = 0
         self.region_check = region_check
         self.interceptor = interceptor
+        #: The tracker whose bound-site table compiled blocks probe: a
+        #: fast collapsing one with no interceptor, else ``None``.
+        self._binder = (tracker if isinstance(tracker, CollapsingTraceBuilder)
+                        and tracker._fast and interceptor is None else None)
         check_budgets(max_steps, deadline_seconds)
         self.max_steps = max_steps
         self.deadline_seconds = deadline_seconds
@@ -553,6 +557,28 @@ class VM:
         prov = self.tracker.operation(instr.loc, mask, [a[2], b[2]])
         stack.append(self._intercept_value(instr, (value, mask, prov),
                                            result_width))
+
+    def _operation(self, instr, mask, a, b):
+        """A block's secret BINOP whose bound-site probe missed: the
+        tracker event (none for a public result), then the binding."""
+        if not mask:
+            return PUBLIC
+        prov = self.tracker.operation(instr.loc, mask, [a, b])
+        binder = self._binder
+        if binder is not None:
+            binder.bind_operation((instr, binder._active_ctx), instr.loc,
+                                  mask, a, b)
+        return prov
+
+    def _branch(self, instr, cond):
+        """A block's secret JZ whose bound-site probe missed."""
+        # ``branch(L, p)`` is ``implicit_flow(L, p, bits_for_arms(2))``
+        # on every tracker, and two arms reveal one bit.
+        self.tracker.implicit_flow(instr.loc, cond, 1)
+        binder = self._binder
+        if binder is not None:
+            binder.bind_flow((instr, cond.node, binder._active_ctx),
+                             instr.loc, cond, 1)
 
     def _eval_binop(self, name, av, bv, width, signed, loc):
         w = width_mask(width)

@@ -27,7 +27,6 @@ from ..core.locations import Location
 from ..core.measure import measure_graph
 from ..core.tracker import PUBLIC, CollapsingTraceBuilder, TraceBuilder
 from ..errors import TraceError
-from ..graph.flowgraph import INF
 from ..shadow import resolve_backend, transfer
 from ..shadow.bitmask import width_mask
 from .values import (SecretInt, _tracked, _WidthInt, concrete_of, mask_of,
@@ -254,9 +253,8 @@ class Session:
         self.interceptor = interceptor
         self.backend = resolve_backend(backend)
         self._location_sites = {}
-        self._fused_sites = {}
-        #: (code id, offset, op, ctx) -> the tracker's _OpSite, when
-        #: binary ops are fused (see _binary_op_fast); else None
+        #: The tracker's bound-site table when binary ops bind their
+        #: sites (see _binary_op_fast); else None.
         self._fused_ops = None
         if self.backend == "fast":
             # Bound-method swap: callers (SecretInt dunders, user code)
@@ -272,8 +270,8 @@ class Session:
                 # These inline the TraceBuilder delegations (indexed /
                 # branch are defined as implicit_flow calls), so they
                 # only apply to trackers with those semantics.  With a
-                # fast collapsing tracker the fused variants also
-                # inline its repeat-cache hit path.
+                # fast collapsing tracker the fused variants probe its
+                # bound-site table first.
                 fused = (isinstance(self.tracker, CollapsingTraceBuilder)
                          and self.tracker._fast)
                 self.index_on = (self._index_on_fused if fused
@@ -282,7 +280,7 @@ class Session:
                     self.branch_on = (self._branch_on_fused if fused
                                       else self._branch_on_fast)
                     if fused:
-                        self._fused_ops = {}
+                        self._fused_ops = self.tracker._bound
         self.outputs = []
         self._locations = {}
         self._finished = False
@@ -365,6 +363,8 @@ class Session:
         ``shadow.fast.batch_ops`` / ``shadow.fast.batch_values``.
         """
         loc = self._caller_location(2, name or "secret_bytes")
+        if not hasattr(data, "__len__"):
+            data = list(data)  # a generator, as the reference loop takes
         provs = self.tracker.secret_values(loc, 8, len(data),
                                            category=category)
         metrics = obs.get_metrics()
@@ -471,15 +471,14 @@ class Session:
         skipping result-width computation for comparisons (their
         result is 1-bit, and ``transfer_compare`` ignores the width).
 
-        With a fast collapsing tracker and no interceptor, a repeated
-        secret op is fused: one probe of ``_fused_ops`` by code site, op
-        and context finds the tracker's ``_OpSite``.  When its buckets
-        and its provenance for the result mask exist and every secret
-        operand's class is already folded into the data bucket,
-        ``_operation_fast``'s repeat arithmetic runs inline (same
-        counters, per-step INF saturation, operands in order) and the
-        result shares that provenance.  Anything else takes the
-        tracker path and then records the site.
+        With a fast collapsing tracker and no interceptor, a secret op
+        first probes the tracker's bound-site table by code site, op,
+        context and result mask.  When the binding it finds was bound
+        for these operands (the same provenances, or each secret one
+        with the same mask and its class already folded into the site's
+        ``merged``), the op only counts a repeat and the result shares
+        the binding's provenance.  Anything else takes the tracker path
+        and then binds the site.
         """
         if reflected:
             a, b = b, a
@@ -515,35 +514,24 @@ class Session:
         sites = self._fused_ops
         if sites is not None:
             tracker = self.tracker
-            key = (id(frame.f_code), frame.f_lasti, op, tracker._active_ctx)
-            site = sites.get(key)
-            if site is not None and not tracker._finished:
-                merged = site.merged
-                pa = a.prov if sa else None
-                pb = b.prov if sb else None
-                prov = site.provs.get(mask)
-                if (prov is not None
-                        and (pa is None or (pa.mask and pa.node in merged))
-                        and (pb is None or (pb.mask and pb.node in merged))):
-                    edges = 1 + sa + sb
-                    tracker._operation_events += 1
-                    tracker._virtual_nodes += 2
-                    tracker._virtual_edges += edges
-                    tracker._collapser.merge_hits += edges
-                    edge = site.pair_edge
-                    cap, bits = edge.capacity, mask.bit_count()
-                    edge.capacity = (INF if cap >= INF or bits >= INF
-                                     else cap + bits)
-                    edge = site.data_edge
-                    for operand in (pa, pb):
-                        if operand is not None:
-                            cap = edge.capacity
-                            bits = operand.mask.bit_count()
-                            edge.capacity = (INF if cap >= INF or bits >= INF
-                                             else cap + bits)
+            pa = a.prov if sa else PUBLIC
+            pb = b.prov if sb else PUBLIC
+            key = (id(frame.f_code), frame.f_lasti, op, tracker._active_ctx,
+                   mask)
+            bound = sites.get(key)
+            if bound is not None:
+                merged = bound.merged
+                if ((pa is bound.a
+                     or (pa.mask == bound.a.mask and pa.node in merged))
+                        and (pb is bound.b
+                             or (pb.mask == bound.b.mask
+                                 and pb.node in merged))):
+                    if not bound.n:
+                        tracker._pend(bound)
+                    bound.n += 1
                     # ``& w`` as in SecretInt.__init__: "and"/"shr" of a
                     # negative public operand can exceed the width.
-                    return _tracked(self, value & w, width, mask, prov)
+                    return _tracked(self, value & w, width, mask, bound.prov)
         # Inline _caller_location_fast.
         site = (frame.f_code, frame.f_lasti, op)
         loc = self._location_sites.get(site)
@@ -561,8 +549,8 @@ class Session:
         if sites is not None:
             # Pinning: the location lookup above keyed _location_sites
             # by this code object, so its id stays unique while the
-            # session (and so this entry) lives.
-            sites[key] = tracker._op_cache[(loc, tracker._active_ctx)]
+            # session (and so this key) lives.
+            tracker.bind_operation(key, loc, mask, pa, pb)
         if prov.mask == 0:
             return value  # declassified at a cut (checking mode)
         return SecretInt(self, value, width, mask, prov)
@@ -672,17 +660,16 @@ class Session:
         prov = secret.prov
         self.tracker.implicit_flow(loc, prov, prov.bits)
 
-    # The fused handlers inline
-    # :meth:`CollapsingTraceBuilder._implicit_flow_fast`'s repeat-cache
-    # hit path (bit-identical: same counters, same INF saturation);
-    # anything else falls back to the tracker method.  The bodies are
-    # duplicated rather than shared -- a helper would re-add the call
-    # frame these exist to remove.  Fused keys (these and
-    # ``_fused_ops``) hold ``id(frame.f_code)``, not the code object,
-    # whose hash CPython recomputes on every lookup.  The cold path
-    # resolves the location first, which keys ``_location_sites`` by
-    # the code object itself and so pins it for the session's lifetime:
-    # an id cannot be reused while an entry holding it exists.
+    # The fused handlers probe the fast collapsing tracker's bound-site
+    # table; a hit only counts the repeat (see the tracker's "bound
+    # sites").  The bodies are duplicated rather than shared -- a helper
+    # would re-add the call frame these exist to remove.  The keys hold
+    # ``id(frame.f_code)``, not the code object, whose hash CPython
+    # recomputes on every lookup.  A miss resolves the location first,
+    # which keys ``_location_sites`` by the code object itself and so
+    # pins it for the session's lifetime: an id cannot be reused while
+    # a key holding it exists.  An implicit-flow key leaves out the
+    # target, because the tracker drops those keys when it changes.
 
     def _branch_on_fused(self, secret):
         if secret.mask == 0:
@@ -691,22 +678,15 @@ class Session:
         frame = sys._getframe(2)
         prov = secret.prov
         tracker = self.tracker
-        regions = tracker._regions
-        region = regions[-1] if regions else None
-        target = region.node if region is not None else tracker._pending
-        key = (id(frame.f_code), frame.f_lasti, prov.node, target,
+        key = (id(frame.f_code), frame.f_lasti, prov.node,
                tracker._active_ctx)
-        entry = self._fused_sites.get(key)
-        if entry is not None and not tracker._finished:
-            tracker._implicit_events += 1
-            tracker._virtual_edges += 1
-            tracker._collapser.merge_hits += 1
-            if region is not None:
-                region.bits += 1
-            cap = entry.capacity
-            entry.capacity = cap + 1 if cap < INF else INF
+        site = tracker._bound.get(key)
+        if site is not None:
+            if not site.n:
+                tracker._dirty.append(site)
+            site.n += 1
             return
-        self._fused_fallback(frame, "branch", prov, 1, target, key)
+        self._implicit_miss(frame, "branch", prov, 1, key)
 
     def _index_on_fused(self, secret):
         if secret.mask == 0:
@@ -715,28 +695,20 @@ class Session:
         frame = sys._getframe(2)
         prov = secret.prov
         tracker = self.tracker
-        regions = tracker._regions
-        region = regions[-1] if regions else None
-        target = region.node if region is not None else tracker._pending
-        key = (id(frame.f_code), frame.f_lasti, prov.node, target,
-               tracker._active_ctx)
-        entry = self._fused_sites.get(key)
-        if entry is not None and not tracker._finished:
-            bits = prov.mask.bit_count()  # prov.bits, without the property
-            tracker._implicit_events += 1
-            tracker._virtual_edges += 1
-            tracker._collapser.merge_hits += 1
-            if region is not None:
-                region.bits += bits
-            cap = entry.capacity
-            entry.capacity = (INF if cap >= INF or bits >= INF
-                              else cap + bits)
+        # The mask fixes the bits a repeat adds.
+        key = (id(frame.f_code), frame.f_lasti, prov.node,
+               tracker._active_ctx, prov.mask)
+        site = tracker._bound.get(key)
+        if site is not None:
+            if not site.n:
+                tracker._dirty.append(site)
+            site.n += 1
             return
-        self._fused_fallback(frame, "index", prov, prov.bits, target, key)
+        self._implicit_miss(frame, "index", prov, prov.bits, key)
 
-    def _fused_fallback(self, frame, detail, prov, bits, target, fused_key):
+    def _implicit_miss(self, frame, detail, prov, bits, key):
         """Cold path of the fused handlers: resolve the location, run
-        the full tracker event, then remember the bucket it landed in."""
+        the full tracker event, then bind its site."""
         site = (frame.f_code, frame.f_lasti, detail)
         loc = self._location_sites.get(site)
         if loc is None:
@@ -745,11 +717,7 @@ class Session:
             self._location_sites[site] = loc
         tracker = self.tracker
         tracker.implicit_flow(loc, prov, bits)
-        if target is not None:
-            edge = tracker._implicit_cache.get(
-                (loc, prov.node, target, tracker._active_ctx))
-            if edge is not None:
-                self._fused_sites[fused_key] = edge
+        tracker.bind_flow(key, loc, prov, bits)
 
     # ------------------------------------------------------------------
     # Regions

@@ -35,6 +35,9 @@ TEMPLATE_NAMES = frozenset([
     "_array_load", "_array_store", "_note_write", "_declare_local",
     "_regions", "globals", "frame_id", "length", "_unop", "_cast",
     "_deferred", "values", "masks", "provs",
+    # the bound-site probe of a secret BINOP or JZ
+    "_binder", "_bound", "get", "_active_ctx", "mask", "a", "b", "n",
+    "_pend", "_dirty", "prov", "node", "_operation", "_branch",
 ])
 
 #: Numbered names: block functions (``b``), temporaries (``s t x m p``)
