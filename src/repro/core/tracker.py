@@ -522,28 +522,22 @@ def _repeat_adds(cap, adds, n):
 
 
 class _OpSite:
-    """Fast-backend cache entry for one operation site.
+    """The fast backend's record of one operation site.
 
-    Holds the site's interned labels, its collapsed value pair, the
-    two buckets repeats accumulate into, the site's result
+    Holds the site's value and data buckets, the operand ids folded
+    into the data bucket's tail class, the site's interned result
     provenances, and the one binding of it that has unsettled counts.
     """
 
-    __slots__ = ("value_label", "data_label", "pair", "pair_edge",
-                 "data_edge", "merged", "provs", "pending")
+    __slots__ = ("pair_edge", "data_edge", "merged", "provs", "pending")
 
-    def __init__(self, value_label, data_label):
-        self.value_label = value_label
-        self.data_label = data_label
-        self.pair = None
-        self.pair_edge = None
-        self.data_edge = None
+    def __init__(self, pair_edge, data_edge):
+        self.pair_edge = pair_edge
+        self.data_edge = data_edge
         #: operand node ids already folded into the data bucket's tail
         #: class (classes never split, so membership is permanent)
         self.merged = set()
-        #: result mask -> the shared ``Provenance(mask, outer)``; the
-        #: outer node is fixed per site and no code mutates a
-        #: Provenance, so every result with that mask can share one
+        #: result mask -> the shared ``Provenance(mask, outer)``
         self.provs = {}
         self.pending = None
 
@@ -566,8 +560,8 @@ class _OpBinding:
         self.n = 0
 
     def settle(self, tracker, n):
-        """Apply ``n`` repeats: exactly what ``n`` ``_operation_fast``
-        calls with the bound mask and operands would have done."""
+        """Apply ``n`` repeats: exactly what ``n`` ``operation`` calls
+        with the bound mask and operands would have done."""
         site = self.site
         site.pending = None
         adds = self.adds
@@ -639,23 +633,20 @@ class CollapsingTraceBuilder(TraceBuilder):
         context_sensitive: merge edges by (kind, location, context hash)
             when true, by (kind, location) when false — the latter is
             the smaller, coverage-sized graph.
-        backend: ``"reference"`` replays every event through the
-            generic bucket machinery; ``"fast"`` adds per-site caches
-            that turn exact event repeats (the common case in loops)
-            into capacity arithmetic, skipping label interning and
-            union-find work that is provably a no-op, and a table of
-            bound sites whose repeats a frontend only counts.  ``None``/
-            ``"auto"`` consult ``REPRO_BACKEND``, then ``"fast"``.
+        backend: ``"reference"`` runs the generic event methods alone;
+            ``"fast"`` adds a table of bound sites whose exact repeats
+            (the common case in loops) a frontend only counts, and
+            interns each operation site's results so that a frontend
+            can recognise those repeats.  ``None``/``"auto"`` consult
+            ``REPRO_BACKEND``, then ``"fast"``.
             Both backends are bit-identical (see ``docs/backends.md``
             and the equivalence suite).
     """
 
     def __init__(self, context_sensitive=True, backend=None):
         self._fast = resolve_backend(backend) == "fast"
-        #: (location, tail node, target node, ctx) -> implicit bucket
-        self._implicit_cache = {}
         #: (location, ctx) -> _OpSite
-        self._op_cache = {}
+        self._op_sites = {}
         #: The bound-site table: a frontend's site key -> the
         #: _OpBinding or _FlowSite whose repeats only count (see "bound
         #: sites" below).
@@ -668,10 +659,8 @@ class CollapsingTraceBuilder(TraceBuilder):
         self._flow_bits = {}
         super().__init__(context_sensitive=context_sensitive)
         if self._fast:
-            # Bound as instance attributes so the per-event dispatch is
-            # a plain attribute load; the reference backend keeps the
-            # unmodified TraceBuilder methods.
-            self.implicit_flow = self._implicit_flow_fast
+            # Bound as an instance attribute; the reference backend
+            # keeps the unmodified TraceBuilder method.
             self.operation = self._operation_fast
 
     def _setup(self):
@@ -716,115 +705,29 @@ class CollapsingTraceBuilder(TraceBuilder):
         # live in ``live_nodes``/``live_edges`` and CollapseStats.
         return self._virtual_nodes, self._virtual_edges
 
-    # -- fast-backend repeat caches ------------------------------------
-    #
-    # Loops replay the same event sites over and over: the same implicit
-    # flow from the same value class into the same pending node, the
-    # same operation feeding the same collapsed value pair.  After the
-    # first occurrence the generic path's label interning, bucket lookup
-    # and union-find merges are all no-ops (classes only ever grow, so
-    # once two endpoints coincide they coincide forever); the caches
-    # below recognize exact repeats and reduce them to the observable
-    # effects -- capacity accumulation and the same counter increments.
-    # The equivalence suite checks the result is bit-identical.
-
-    def _implicit_flow_fast(self, location, provenance, bits):
-        if self._dirty:
-            self._settle()
-        if self._finished:
-            raise TraceError("trace already finished")
-        node = provenance.node
-        if node is None or bits == 0 or provenance.mask == 0:
-            return
-        self._implicit_events += 1
-        regions = self._regions
-        if regions:
-            region = regions[-1]
-            region.bits += bits
-            target = region.node
-            if target is None:
-                region.node = self._g_head(
-                    node, bits, self._label(location, "implicit"))
-                return
-        else:
-            target = self._pending
-        key = (location, node, target, self._active_ctx)
-        edge = self._implicit_cache.get(key)
-        if edge is not None:
-            # Same tail class, same target, same label: the reference
-            # path's two merges are no-ops, only capacity accumulates
-            # (inlined add_capacity, same INF saturation).
-            self._virtual_edges += 1
-            self._collapser.merge_hits += 1
-            cap = edge.capacity
-            edge.capacity = INF if cap >= INF or bits >= INF else cap + bits
-            return
-        self._implicit_cache[key] = self._g_edge(
-            node, target, bits, self._label(location, "implicit"))
+    # -- interned operation results ------------------------------------
 
     def _operation_fast(self, location, result_mask, operands):
-        if self._dirty:
-            self._settle()
-        if self._finished:
-            raise TraceError("trace already finished")
-        self._operation_events += 1
-        if result_mask == 0:
-            return PUBLIC
-        bits = result_mask.bit_count()
-        collapser = self._collapser
+        """:meth:`TraceBuilder.operation`, then the site's record: the
+        buckets and operand classes binding needs, and the result
+        interned per mask.  The site's outer node is fixed and no code
+        mutates a Provenance, so its results can share one; blocks,
+        which match operands by identity, then see repeats as such."""
+        operands = tuple(operands)
+        prov = TraceBuilder.operation(self, location, result_mask, operands)
+        if prov is PUBLIC:
+            return prov
         site_key = (location, self._active_ctx)
-        site = self._op_cache.get(site_key)
+        site = self._op_sites.get(site_key)
         if site is None:
-            site = self._op_cache[site_key] = _OpSite(
-                self._label(location, "value"),
-                self._label(location, "data"))
-        self._virtual_nodes += 2
-        self._virtual_edges += 1
-        pair = site.pair
-        if pair is None:
-            pair = site.pair = collapser.capped_pair(bits, site.value_label)
-            site.pair_edge = collapser.bucket_for(site.value_label)
-        else:
-            # Exact repeat of the value pair: the reference capped_pair
-            # only adds capacity and re-finds the endpoints.
-            collapser.merge_hits += 1
-            edge = site.pair_edge
-            cap = edge.capacity
-            edge.capacity = INF if cap >= INF or bits >= INF else cap + bits
-        inner, outer = pair
-        seen_input = False
-        data_edge = site.data_edge
-        merged = site.merged
+            bucket_for = self._collapser.bucket_for
+            site = self._op_sites[site_key] = _OpSite(
+                bucket_for(self._label(location, "value")),
+                bucket_for(self._label(location, "data")))
         for op in operands:
-            op_node = op.node
-            if op_node is not None and op.mask:
-                seen_input = True
-                self._virtual_edges += 1
-                if data_edge is None:
-                    data_edge = site.data_edge = collapser.add_edge(
-                        op_node, inner, op.mask.bit_count(), site.data_label)
-                    merged.add(op_node)
-                else:
-                    # The head merge is a no-op (the bucket's head is
-                    # this site's inner node); the tail merge folds the
-                    # operand's class in, exactly as add_edge would --
-                    # skipped once this operand id has been folded.
-                    collapser.merge_hits += 1
-                    op_bits = op.mask.bit_count()
-                    cap = data_edge.capacity
-                    data_edge.capacity = (INF if cap >= INF or op_bits >= INF
-                                          else cap + op_bits)
-                    if op_node not in merged:
-                        merged.add(op_node)
-                        collapser._merge(data_edge.tail, op_node)
-        if not seen_input:
-            raise TraceError(
-                "operation at %s produced secret mask %#x from public operands"
-                % (location, result_mask))
-        prov = site.provs.get(result_mask)
-        if prov is None:
-            prov = site.provs[result_mask] = Provenance(result_mask, outer)
-        return prov
+            if op.node is not None and op.mask:
+                site.merged.add(op.node)
+        return site.provs.setdefault(result_mask, prov)
 
     # -- bound sites ----------------------------------------------------
     #
@@ -887,7 +790,7 @@ class CollapsingTraceBuilder(TraceBuilder):
         """
         if self._dirty:
             self._settle()
-        site = self._op_cache.get((location, self._active_ctx))
+        site = self._op_sites.get((location, self._active_ctx))
         if (site is None or site.data_edge is None or self._finished
                 or mask not in site.provs):
             return

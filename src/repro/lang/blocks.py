@@ -30,7 +30,8 @@ What a block keeps of the interpreter's behaviour:
   only counts the repeat, and the tracker settles the counts before
   anything reads or changes its state (:mod:`repro.core.tracker`,
   "bound sites").  A miss reports the event as above and binds the
-  site (``VM._operation``, ``VM._branch``).
+  site (``VM._operation``, ``VM._branch``).  UNOP, CAST and a secret
+  array index call the VM methods, which probe and bind themselves.
 * **Public work inline.**  The BINOPs in ``_INLINE_BINOPS`` are
   template arithmetic; the others call an evaluator from
   :func:`_compile_binop`.  An ALOAD reads ``values``, ``masks`` and

@@ -207,8 +207,9 @@ class VM:
         self._public_pos = 0
         self.region_check = region_check
         self.interceptor = interceptor
-        #: The tracker whose bound-site table compiled blocks probe: a
-        #: fast collapsing one with no interceptor, else ``None``.
+        #: The tracker whose bound-site table compiled blocks and the
+        #: event methods below probe: a fast collapsing one with no
+        #: interceptor, else ``None``.
         self._binder = (tracker if isinstance(tracker, CollapsingTraceBuilder)
                         and tracker._fast and interceptor is None else None)
         check_budgets(max_steps, deadline_seconds)
@@ -559,15 +560,26 @@ class VM:
                                            result_width))
 
     def _operation(self, instr, mask, a, b):
-        """A block's secret BINOP whose bound-site probe missed: the
-        tracker event (none for a public result), then the binding."""
+        """The result provenance of a secret BINOP, UNOP or CAST (``b``
+        is ``PUBLIC`` for the one-operand ones); none for a public
+        result.  Under a binding tracker a bound repeat with the same
+        mask and operand objects only counts; a miss reports the event
+        and binds the site."""
         if not mask:
             return PUBLIC
-        prov = self.tracker.operation(instr.loc, mask, [a, b])
         binder = self._binder
-        if binder is not None:
-            binder.bind_operation((instr, binder._active_ctx), instr.loc,
-                                  mask, a, b)
+        if binder is None:
+            return self.tracker.operation(instr.loc, mask, [a, b])
+        key = (instr, binder._active_ctx)
+        site = binder._bound.get(key)
+        if (site is not None and site.mask == mask and site.a is a
+                and site.b is b):
+            if not site.n:
+                binder._pend(site)
+            site.n += 1
+            return site.prov
+        prov = self.tracker.operation(instr.loc, mask, [a, b])
+        binder.bind_operation(key, instr.loc, mask, a, b)
         return prov
 
     def _branch(self, instr, cond):
@@ -653,7 +665,7 @@ class VM:
         mask = transfer.unary_mask(name, a[0], a[1], width)
         if mask == 0:
             return self._intercept_value(instr, (value, 0, PUBLIC), width)
-        prov = self.tracker.operation(instr.loc, mask, [a[2]])
+        prov = self._operation(instr, mask, a[2], PUBLIC)
         return self._intercept_value(instr, (value, mask, prov), width)
 
     def _cast(self, instr, a):
@@ -676,17 +688,38 @@ class VM:
             mask = transfer.transfer_trunc(a[0], a[1], to_width)
         if mask == 0:
             return (value, 0, PUBLIC)
-        prov = self.tracker.operation(instr.loc, mask, [a[2]])
+        prov = self._operation(instr, mask, a[2], PUBLIC)
         return self._intercept_value(instr, (value, mask, prov), to_width)
 
     # ------------------------------------------------------------------
     # Arrays
 
+    def _indexed(self, instr, index):
+        """The implicit flow of secret ``index`` at an array access.
+
+        Under a binding tracker a bound repeat only counts.  The key
+        fixes the node and, through the mask, the bits, as ``bind_flow``
+        asks.
+        """
+        binder = self._binder
+        if binder is None:
+            self.tracker.indexed(instr.loc, index)
+            return
+        key = (instr, index.node, binder._active_ctx, index.mask)
+        site = binder._bound.get(key)
+        if site is not None:
+            if not site.n:
+                binder._dirty.append(site)
+            site.n += 1
+            return
+        self.tracker.indexed(instr.loc, index)
+        binder.bind_flow(key, instr.loc, index, index.bits)
+
     def _array_load(self, instr, array, index):
         if not isinstance(array, ArrayObject):
             raise VMError("indexing a non-array", instr.loc)
         if index[1]:
-            self.tracker.indexed(instr.loc, index[2])
+            self._indexed(instr, index[2])
         i = index[0]
         if not (0 <= i < array.length):
             raise VMError("array index %d out of bounds (len %d)"
@@ -699,7 +732,7 @@ class VM:
         if not isinstance(array, ArrayObject):
             raise VMError("indexing a non-array", instr.loc)
         if index[1]:
-            self.tracker.indexed(instr.loc, index[2])
+            self._indexed(instr, index[2])
         i = index[0]
         if not (0 <= i < array.length):
             raise VMError("array index %d out of bounds (len %d)"

@@ -253,9 +253,11 @@ class Session:
         self.interceptor = interceptor
         self.backend = resolve_backend(backend)
         self._location_sites = {}
-        #: The tracker's bound-site table when binary ops bind their
-        #: sites (see _binary_op_fast); else None.
-        self._fused_ops = None
+        fused = (isinstance(self.tracker, CollapsingTraceBuilder)
+                 and self.tracker._fast)
+        #: The tracker whose bound-site table the fused handlers probe:
+        #: a fast collapsing one with no interceptor, else ``None``.
+        self._binder = self.tracker if fused and interceptor is None else None
         if self.backend == "fast":
             # Bound-method swap: callers (SecretInt dunders, user code)
             # keep identical call depths, so location derivation is
@@ -272,15 +274,11 @@ class Session:
                 # only apply to trackers with those semantics.  With a
                 # fast collapsing tracker the fused variants probe its
                 # bound-site table first.
-                fused = (isinstance(self.tracker, CollapsingTraceBuilder)
-                         and self.tracker._fast)
                 self.index_on = (self._index_on_fused if fused
                                  else self._index_on_fast)
                 if interceptor is None:
                     self.branch_on = (self._branch_on_fused if fused
                                       else self._branch_on_fast)
-                    if fused:
-                        self._fused_ops = self.tracker._bound
         self.outputs = []
         self._locations = {}
         self._finished = False
@@ -511,14 +509,13 @@ class Session:
         # Same frame as the reference's ``_caller_location(3, op)``
         # resolves: the operator dunder.
         frame = sys._getframe(2)
-        sites = self._fused_ops
-        if sites is not None:
-            tracker = self.tracker
+        tracker = self._binder
+        if tracker is not None:
             pa = a.prov if sa else PUBLIC
             pb = b.prov if sb else PUBLIC
             key = (id(frame.f_code), frame.f_lasti, op, tracker._active_ctx,
                    mask)
-            bound = sites.get(key)
+            bound = tracker._bound.get(key)
             if bound is not None:
                 merged = bound.merged
                 if ((pa is bound.a
@@ -546,7 +543,7 @@ class Session:
         else:
             operands = [b.prov] if sb else []
         prov = self.tracker.operation(loc, mask, operands)
-        if sites is not None:
+        if tracker is not None:
             # Pinning: the location lookup above keyed _location_sites
             # by this code object, so its id stays unique while the
             # session (and so this key) lives.

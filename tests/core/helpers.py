@@ -124,3 +124,30 @@ def fanout_events(tracker, width=32):
     tracker.output(loc(4), [c])
     tracker.output(loc(5), [d])
     return tracker.finish()
+
+
+class EventCounter:
+    """Counts the events that reach one tracker instance.
+
+    Wraps the instance's ``operation`` and ``implicit_flow`` (``branch``
+    and ``indexed`` call ``implicit_flow``), so a bound-site repeat,
+    which a frontend only counts, does not show here: ``ops`` and
+    ``flows`` are the events the tracker's generic path ran.
+    """
+
+    def __init__(self, tracker):
+        self.ops = 0
+        self.flows = 0
+        operation = tracker.operation
+        implicit_flow = tracker.implicit_flow
+
+        def counted_operation(location, result_mask, operands):
+            self.ops += 1
+            return operation(location, result_mask, operands)
+
+        def counted_flow(location, provenance, bits):
+            self.flows += 1
+            return implicit_flow(location, provenance, bits)
+
+        tracker.operation = counted_operation
+        tracker.implicit_flow = counted_flow

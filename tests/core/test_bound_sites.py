@@ -25,6 +25,8 @@ from repro.lang.vm import VM
 from repro.pytrace import SecretInt, Session
 
 from ..lang.test_soundness_fuzz import ProgramGenerator
+from ..lang.test_vm_dispatch import APP_CASES
+from .helpers import EventCounter
 
 BACKENDS = ("reference", "fast")
 MODES = ("context", "location")
@@ -206,6 +208,132 @@ def test_fuzz_programs_agree(seed):
 
 
 # ----------------------------------------------------------------------
+# The VM's own probes: UNOP and CAST through ``VM._operation``, secret
+# array indexes through ``VM._indexed``
+
+#: Secret casts, unary ``-`` and ``~``, and secret-indexed loads and
+#: stores, in inner loops outside and inside an enclose entered on
+#: every iteration.  ``c & k`` alternates its mask on the same operand
+#: objects (the secret bytes share one provenance), so a probe that
+#: ignored the mask would count a repeat with the wrong result; the
+#: cast of it gives an index with one node and two masks.
+PROBES = """
+fn main() {
+    var buf: u8[32];
+    var n: u32 = read_secret(buf, 32);
+    var table: u8[256];
+    var hist: u8[16];
+    var i: u32 = 0;
+    var acc: u8 = 0;
+    var wide: u32 = 0;
+    while (i < n) {
+        var c: u8 = buf[i];
+        var r: u32 = 0;
+        while (r < 4) {
+            var k: u8 = 15;
+            if (r % 2 == 1) {
+                k = 255;
+            }
+            acc = acc + table[u32(c & k)];
+            table[u32(~c)] = u8(-i16(c));
+            wide = wide + u32(-i32(c));
+            r = r + 1;
+        }
+        enclose (hist[..], acc) {
+            var q: u32 = 0;
+            while (q < 3) {
+                var h: u32 = u32(c) & 15;
+                hist[h] = hist[h] + 1;
+                acc = acc ^ ~c;
+                table[u32(-c)] = u8(h);
+                q = q + 1;
+            }
+        }
+        if (i % 8 == 7) {
+            output(acc);
+        }
+        i = i + 1;
+    }
+    output(u8(wide));
+    output(acc);
+}
+"""
+
+
+def counted_run(source, secret, public=b"", mode="context"):
+    """A fast VM run; the events that reached the tracker."""
+    tracker = CollapsingTraceBuilder(context_sensitive=mode == "context",
+                                     backend="fast")
+    counter = EventCounter(tracker)
+    VM(compile_cached(source), tracker, secret_input=secret,
+       public_input=public, backend="fast").run()
+    return counter, tracker
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_vm_probes_match_reference_at_every_output(mode):
+    result, _, _ = assert_same(PROBES, SECRET, mode)
+    assert result["error"] is None and len(result["outputs"]) == 6
+    # Most unary ops, casts and secret indexes were counted, not
+    # reported; what still reaches the tracker is the alternating-mask
+    # line and the ops on values a region exit rewrote.
+    counter, tracker = counted_run(PROBES, SECRET, mode=mode)
+    assert counter.ops <= 469 < tracker._operation_events // 4
+    assert counter.flows <= 224 < tracker._implicit_events // 2
+
+
+@pytest.mark.parametrize("near_inf", [1, 9, 40])
+@pytest.mark.parametrize("mode", MODES)
+def test_vm_probes_seeded_below_inf(mode, near_inf):
+    seeded = set()
+
+    def seed(vm):
+        if vm not in seeded:
+            for bucket in vm.tracker._collapser._buckets.values():
+                bucket.capacity = INF - near_inf
+            seeded.add(vm)
+
+    result, _, _ = assert_same(PROBES, SECRET, mode, hook=seed)
+    assert INF in result["states"][-1][2]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_vm_probes_step_budget_sweep(mode):
+    # Budgets every 7 steps across one outer iteration (308 steps) stop
+    # the run at offsets inside and outside the enclose.
+    total = run(PROBES, SECRET, mode, "reference")[0]["steps"]
+    for budget in range(total // 2, total // 2 + 308, 7):
+        result, _, _ = assert_same(PROBES, SECRET, mode, max_steps=budget)
+        assert result["error"][0] == "VMError"
+
+
+#: name -> the most (operations, implicit flows) a fast run of the
+#: ``APP_CASES`` program sends to the tracker, in either collapse mode;
+#: every other event is a bound-site repeat that only counts.
+EVENT_CEILINGS = {
+    "checksum": (8, 2),
+    "count_punct_paper": (7, 12),
+    "count_punct_text": (7, 13),
+    "grid": (10, 4),
+    "metrics": (5, 3),
+    "scheduler": (25, 10),
+    "tinystack": (1, 0),
+}
+
+
+def test_every_app_case_has_an_event_ceiling():
+    assert set(EVENT_CEILINGS) == set(APP_CASES)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", sorted(EVENT_CEILINGS))
+def test_app_events_reaching_the_tracker(name, mode):
+    counter, _ = counted_run(*APP_CASES[name], mode=mode)
+    ops, flows = EVENT_CEILINGS[name]
+    assert counter.ops <= ops and counter.flows <= flows
+
+
+# ----------------------------------------------------------------------
 # The Python frontend's bound sites
 
 
@@ -255,7 +383,7 @@ def python_stream(session, near_inf=None):
 @pytest.mark.parametrize("mode", MODES)
 def test_python_frontend_matches_reference(mode, near_inf):
     fast = Session(online_collapse=mode, backend="fast")
-    assert fast._fused_ops is fast.tracker._bound
+    assert fast._binder is fast.tracker
     reference = Session(online_collapse=mode, backend="reference")
     assert python_stream(fast, near_inf) == \
         python_stream(reference, near_inf)

@@ -597,12 +597,12 @@ class TestWrapAllEqualsWrap:
 def fused_session(mode, fused):
     if fused:
         session = Session(online_collapse=mode, backend="fast")
-        assert session._fused_ops is not None
+        assert session._binder is session.tracker
     else:
         session = Session(tracker=CollapsingTraceBuilder(
             context_sensitive=mode == "context", backend="reference"),
             backend="fast")
-        assert session._fused_ops is None
+        assert session._binder is None
     return session
 
 
